@@ -33,7 +33,13 @@ fn bench_initial_guess(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 ParmaSolver::new(ParmaConfig::default())
-                    .solve_from(black_box(&w.z), w.z.clone())
+                    .solve_supervised(
+                        &SolvePlan::new(w.z.grid()),
+                        black_box(&w.z),
+                        Some(w.z.clone()),
+                        &mut SolveScratch::new(),
+                        &CancelToken::unbounded(),
+                    )
                     .unwrap()
                     .iterations,
             )

@@ -229,8 +229,8 @@ fn fig9(full: bool) {
 /// the naive per-line-allocating text reader, the buffered text reader,
 /// the `parma-bin/v1` binary container through a plain read, and the
 /// binary container through the zero-copy mmap path — at wet-lab scales,
-/// plus the streamed-batch overlap demo: solving ≥ 8 sessions through
-/// `BatchSolver::run_streamed_supervised` against the status-quo
+/// plus the streamed-batch overlap demo: solving ≥ 8 sessions as file
+/// jobs through the executor (`parma::execute`) against the status-quo
 /// sequential load-then-solve loop. Writes `BENCH_PR8.json`
 /// (`parma-bench/kernels-v1`, so `parma bench diff` gates it in CI);
 /// `--quick` keeps the n = 32 rows and a smaller overlap batch.
@@ -335,7 +335,7 @@ fn fig9_io(quick: bool) {
     // Streamed-batch overlap: ≥ 8 sessions, solved three ways. The
     // sequential baselines load every dataset up front (text, then
     // binary) before solving; the streamed run hands the same binary
-    // files to `run_streamed_supervised`, whose I/O slots prefetch and
+    // files to the executor as file jobs, whose I/O slots prefetch and
     // validate while the solves run. On a single hardware thread the
     // overlap win degenerates to the cheaper ingest; with real cores the
     // prefetch also hides the load latency itself.
@@ -366,29 +366,42 @@ fn fig9_io(quick: bool) {
         bin_paths.push(b);
     }
     let threads = 2usize;
-    let batch = BatchSolver::new(ParmaConfig::default(), threads).expect("valid config");
+    let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).expect("valid config");
     let sup = SupervisorConfig {
         max_retries: 0,
         ..Default::default()
     };
-    let detection = 1.5f64;
+    let solve = |jobs: &[parma::Job]| {
+        let out = parma::execute(
+            &pipeline,
+            jobs,
+            threads,
+            &sup,
+            &PlanCache::new(),
+            &|_, _| {},
+        );
+        assert!(out.iter().all(|r| r.is_ok()));
+        black_box(out);
+    };
     let seq = |paths: &[std::path::PathBuf]| {
         let sessions: Vec<WetLabDataset> = paths
             .iter()
             .map(|p| WetLabDataset::load(p).expect("load"))
             .collect();
-        let out = batch
-            .run_sessions_supervised(&sessions, detection, &sup, &|_, _| {})
-            .expect("batch runs");
-        assert!(out.iter().all(|r| r.is_ok()));
-        black_box(out);
+        let jobs: Vec<parma::Job> = sessions
+            .iter()
+            .enumerate()
+            .map(|(i, s)| parma::Job::loaded(i, s))
+            .collect();
+        solve(&jobs);
     };
     let streamed = || {
-        let out = batch
-            .run_streamed_supervised(&bin_paths, detection, &sup, &|_, _| {})
-            .expect("streamed batch runs");
-        assert!(out.iter().all(|r| r.is_ok()));
-        black_box(out);
+        let jobs: Vec<parma::Job> = bin_paths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| parma::Job::file(i, p.clone()))
+            .collect();
+        solve(&jobs);
     };
     // The three modes differ by a few percent of a solve-dominated total,
     // so back-to-back blocks would let machine drift between blocks drown
@@ -456,7 +469,7 @@ fn fig9_io(quick: bool) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Throughput mode: solves/sec of the batch engine vs one-at-a-time
+/// Throughput mode: solves/sec of the job executor vs one-at-a-time
 /// sequential solving at n = 16, plus the symbolic-cache benefit
 /// (template vs one-shot Jacobian assembly) that holds even on one core.
 fn throughput(full: bool) {
@@ -465,22 +478,37 @@ fn throughput(full: bool) {
     let n = 16usize;
     let count = if full { 32 } else { 16 };
     println!("\n=== Throughput: batched vs sequential solves (n = {n}, {count} datasets) ===");
-    let measurements: Vec<ZMatrix> = (0..count)
+    // One-time-point sessions: the executor's unit is a session, and a
+    // single measurement keeps the rate a per-solve rate.
+    let datasets: Vec<WetLabDataset> = (0..count)
         .map(|k| {
-            let (truth, _) =
-                AnomalyConfig::default().generate(MeaGrid::square(n), 0xBA7C4 ^ k as u64);
-            ForwardSolver::new(&truth)
+            let grid = MeaGrid::square(n);
+            let (truth, _) = AnomalyConfig::default().generate(grid, 0xBA7C4 ^ k as u64);
+            let z = ForwardSolver::new(&truth)
                 .expect("generated maps are physical")
-                .solve_all()
+                .solve_all();
+            WetLabDataset {
+                grid,
+                measurements: vec![mea_model::Measurement {
+                    hours: 0,
+                    voltage: ParmaConfig::default().voltage,
+                    z,
+                    ground_truth: Some(truth),
+                }],
+            }
         })
         .collect();
-    let config = ParmaConfig::default();
-    let solver = ParmaSolver::new(config);
+    let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).expect("default config is valid");
     let (_, single_secs) = time_secs(|| {
-        for z in &measurements {
-            std::hint::black_box(solver.solve(z).expect("exact data solves"));
+        for ds in &datasets {
+            std::hint::black_box(pipeline.run(ds).expect("exact data solves"));
         }
     });
+    let jobs: Vec<parma::Job> = datasets
+        .iter()
+        .enumerate()
+        .map(|(i, ds)| parma::Job::loaded(i, ds))
+        .collect();
     let single_rate = count as f64 / single_secs;
     println!(
         "{}",
@@ -497,8 +525,17 @@ fn throughput(full: bool) {
         )
     );
     for threads in [1usize, 2, 4, 8] {
-        let batch = BatchSolver::new(config, threads).expect("default config is valid");
-        let (outcomes, secs) = time_secs(|| batch.solve_all(&measurements));
+        let sup = SupervisorConfig::default();
+        let (outcomes, secs) = time_secs(|| {
+            parma::execute(
+                &pipeline,
+                &jobs,
+                threads,
+                &sup,
+                &PlanCache::new(),
+                &|_, _| {},
+            )
+        });
         assert!(outcomes.iter().all(|r| r.is_ok()));
         let rate = count as f64 / secs;
         println!(
@@ -919,7 +956,8 @@ impl KernelCell {
 
 /// One whole-solve comparison: the pre-workspace per-iteration pattern
 /// (fresh Laplacian + naive factor/inverse + allocating sweep) against
-/// `ParmaSolver::solve_with_scratch` (milliseconds per outer iteration).
+/// `ParmaSolver::solve_supervised` on reused scratch (milliseconds per
+/// outer iteration).
 struct SolveCell {
     n: usize,
     legacy_iters: usize,
@@ -1377,9 +1415,10 @@ fn kernels(quick: bool) {
         let solver = ParmaSolver::new(config);
         let plan = SolvePlan::new(w.grid);
         let mut scratch = SolveScratch::new();
+        let token = mea_parallel::CancelToken::unbounded();
         let mut new_iters = iters;
         let (_, new_secs) = time_secs_best_of(outer_n, || {
-            match solver.solve_with_scratch(&plan, &w.z, None, &mut scratch) {
+            match solver.solve_supervised(&plan, &w.z, None, &mut scratch, &token) {
                 Ok(sol) => new_iters = sol.iterations,
                 Err(ParmaError::NoConvergence { iterations, .. }) => new_iters = iterations,
                 Err(e) => panic!("unexpected solver failure: {e}"),

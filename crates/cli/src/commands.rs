@@ -8,7 +8,7 @@ use mea_parallel::Strategy;
 use mea_topology::{fundamental_cycles, mea_complex};
 use parma::persistence::anomaly_persistence;
 use parma::prelude::*;
-use parma::AttemptFailure;
+use parma::{execute, AttemptFailure, Job};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -425,8 +425,11 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         }
     }
 
-    let solver =
-        BatchSolver::new(config, threads).map_err(|e| format!("bad configuration: {e}"))?;
+    let pipeline =
+        Pipeline::new(config, detect_factor).map_err(|e| format!("bad configuration: {e}"))?;
+    // One plan cache for the whole run: each geometry is analyzed once,
+    // whichever session, retry or in-process fallback meets it first.
+    let plans = PlanCache::new();
     let live = metrics_addr.is_some();
     if trace_path.is_some() || live {
         mea_obs::reset();
@@ -525,8 +528,10 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         crate::dist_cmd::run_distributed(&crate::dist_cmd::DistBatch {
             sessions: &sessions,
             work_names: &work_names,
-            config: solver.config(),
+            config: &config,
             detect: detect_factor,
+            threads,
+            plans: &plans,
             sup: &sup,
             workers,
             heartbeat_ms,
@@ -536,14 +541,21 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             failed_items: &failed_items,
             fleet_slot: Some(&fleet_slot),
         })
-    } else if stream {
-        solver
-            .run_streamed_supervised(&work_paths, detect_factor, &sup, &on_done)
-            .map_err(|e| format!("batch failed: {e}"))
     } else {
-        solver
-            .run_sessions_supervised(&sessions, detect_factor, &sup, &on_done)
-            .map_err(|e| format!("batch failed: {e}"))
+        let jobs: Vec<Job> = if stream {
+            work_paths
+                .iter()
+                .enumerate()
+                .map(|(i, path)| Job::file(i, path.clone()))
+                .collect()
+        } else {
+            sessions
+                .iter()
+                .enumerate()
+                .map(|(i, session)| Job::loaded(i, session))
+                .collect()
+        };
+        Ok(execute(&pipeline, &jobs, threads, &sup, &plans, &on_done))
     };
     let elapsed = t0.elapsed();
     reporter_stop.store(true, Ordering::Relaxed);
@@ -573,7 +585,7 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         out,
         "{dir}: {} dataset(s), {} thread(s)",
         paths.len(),
-        solver.threads()
+        threads.max(1)
     )
     .map_err(|e| e.to_string())?;
     let mut solves = 0usize;
@@ -738,46 +750,6 @@ fn progress_reporter(
             );
         }
     })
-}
-
-/// `parma serve-metrics`: a stand-alone live-telemetry listener over the
-/// process-global registry — /metrics (Prometheus text 0.0.4), /snapshot
-/// (full JSON) and /events (flight-recorder JSONL). Mostly useful for
-/// smoke-testing scrapers and dashboards against the exposition format
-/// without running a batch.
-pub fn serve_metrics<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:9184");
-    let secs: f64 = args.get_or("for", 0.0)?;
-    if !(0.0..=86_400.0).contains(&secs) {
-        return Err("--for must be between 0 and 86400 seconds".into());
-    }
-    mea_obs::set_live(true);
-    let meta = vec![
-        ("schema".to_string(), "parma-snapshot/v1".to_string()),
-        ("version".to_string(), VERSION.to_string()),
-        ("role".to_string(), "serve-metrics".to_string()),
-    ];
-    let mut server = mea_obs::serve::MetricsServer::start(addr, meta)?;
-    if let Some(f) = args.get("addr-file") {
-        write_addr_file(f, server.addr())?;
-    }
-    writeln!(
-        out,
-        "serving /metrics /snapshot /events on http://{}",
-        server.addr()
-    )
-    .map_err(|e| e.to_string())?;
-    if secs > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(secs));
-        server.shutdown();
-        mea_obs::set_live(false);
-        Ok(())
-    } else {
-        // Serve until the process is killed.
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
 }
 
 /// One kernel row of a `parma-bench/kernels-v1` file.

@@ -4,11 +4,10 @@
 //! The unit of distribution is one whole dataset (one batch item): per
 //! the paper's §V parallelization ladder, sessions are independent, so
 //! whole-array sharding never splits a warm-start chain and the remote
-//! solve runs **the exact same supervised code path** the in-process
-//! batch runs (`BatchSolver::run_sessions_supervised` over a
-//! single-session slice). That is the whole bitwise-identity argument:
-//! there is no "distributed solver", only the local solver running in
-//! more processes.
+//! solve is **the job executor over one job** — the same code path the
+//! in-process batch runs (`parma::execute`). That is the whole
+//! bitwise-identity argument: there is no "distributed solver", only the
+//! local executor running in more processes.
 //!
 //! Shards are placed with the same deterministic block partition
 //! `mpi_sim` ranks use (`block_range` over the sorted live-worker set),
@@ -24,7 +23,7 @@ use parma::dist::worker::run_worker_with;
 use parma::dist::{Coordinator, DistPolicy, TaskOutcome};
 use parma::prelude::*;
 use parma::supervisor::FailureKind;
-use parma::AttemptFailure;
+use parma::{execute, AttemptFailure, Job};
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::process::{Child, Command, Stdio};
@@ -33,9 +32,10 @@ use std::time::Duration;
 
 /// `parma worker --connect <host:port> [--name N]`: join a coordinator
 /// and solve assigned datasets until released. The handler is
-/// deliberately thin — decode, run the supervised batch path on one
-/// session, encode — so remote and local solves share every numeric
-/// code path.
+/// deliberately thin — decode, run the executor on one job, encode — so
+/// remote and local solves share every numeric code path. Its one piece
+/// of state is the process-lifetime plan cache: plans depend only on
+/// geometry, so every same-geometry task after the first skips analysis.
 pub fn worker<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let addr = args
         .get("connect")
@@ -44,7 +44,8 @@ pub fn worker<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         .get("name")
         .map(String::from)
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let handler = |_ticket: u64, blob: &[u8]| solve_blob(blob);
+    let plans = PlanCache::new();
+    let handler = move |ticket: u64, blob: &[u8]| solve_blob(ticket, blob, &plans);
     // --metrics-addr starts this worker's own telemetry listener once the
     // handshake has assigned an id, so the /snapshot meta names exactly
     // who this process is within the fleet.
@@ -104,8 +105,9 @@ fn internal_failure(detail: String) -> Vec<u8> {
     })
 }
 
-/// Decode → solve → encode for one assigned dataset.
-fn solve_blob(blob: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
+/// Decode → solve → encode for one assigned dataset; the job (and so its
+/// failure report) is keyed by the dispatch ticket.
+fn solve_blob(ticket: u64, blob: &[u8], plans: &PlanCache) -> Result<Vec<u8>, Vec<u8>> {
     let task = match SolveTask::decode(blob) {
         Ok(t) => t,
         Err(e) => return Err(internal_failure(format!("undecodable task: {e:?}"))),
@@ -125,16 +127,15 @@ fn solve_blob(blob: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
         batch_deadline: None,
         backoff: Duration::from_millis(task.backoff_ms),
     };
-    let solver = match BatchSolver::new(config, 1) {
-        Ok(s) => s,
+    let pipeline = match Pipeline::new(config, task.detect) {
+        Ok(p) => p,
         Err(e) => return Err(internal_failure(format!("bad configuration: {e}"))),
     };
-    let mut results =
-        match solver.run_sessions_supervised(&[dataset], task.detect, &sup, &|_, _| {}) {
-            Ok(r) => r,
-            Err(e) => return Err(internal_failure(format!("supervisor error: {e}"))),
-        };
-    match results.pop().expect("one session in, one result out") {
+    let job = Job::loaded(ticket as usize, &dataset);
+    match execute(&pipeline, &[job], 1, &sup, plans, &|_, _| {})
+        .pop()
+        .expect("one job in, one outcome out")
+    {
         Ok(tps) => Ok(codec::encode_time_points(&tps)),
         Err(report) => Err(codec::encode_failure(&report)),
     }
@@ -146,6 +147,10 @@ pub struct DistBatch<'a> {
     pub work_names: &'a [String],
     pub config: &'a ParmaConfig,
     pub detect: f64,
+    /// The batch's thread budget, which the in-process fallback keeps.
+    pub threads: usize,
+    /// The batch run's plan cache, shared with the in-process fallback.
+    pub plans: &'a PlanCache,
     pub sup: &'a SupervisorConfig,
     pub workers: usize,
     pub heartbeat_ms: u64,
@@ -161,8 +166,8 @@ pub struct DistBatch<'a> {
 
 /// Runs the work set across `workers` self-spawned `parma worker`
 /// processes. Returns results in work-set order, exactly shaped like
-/// `run_sessions_supervised`'s return — the caller's reporting code
-/// cannot tell the paths apart.
+/// the executor's return — the caller's reporting code cannot tell the
+/// paths apart.
 ///
 /// Fault handling, in order of escalation:
 /// * a worker death mid-shard → the shard is redispatched to a survivor
@@ -357,13 +362,14 @@ pub fn run_distributed(
             );
         }
         fallback.sort_unstable();
-        let sessions: Vec<WetLabDataset> =
-            fallback.iter().map(|&i| spec.sessions[i].clone()).collect();
-        let solver =
-            BatchSolver::new(*spec.config, 1).map_err(|e| format!("bad configuration: {e}"))?;
+        let pipeline = Pipeline::new(*spec.config, spec.detect)
+            .map_err(|e| format!("bad configuration: {e}"))?;
+        let jobs: Vec<Job> = fallback
+            .iter()
+            .map(|&i| Job::loaded(i, &spec.sessions[i]))
+            .collect();
         let journal_errors: std::sync::Mutex<Vec<String>> = Default::default();
-        let on_done = |k: usize, res: &Result<Vec<TimePointResult>, FailureReport>| {
-            let i = fallback[k];
+        let on_done = |i: usize, res: &Result<Vec<TimePointResult>, FailureReport>| {
             match res {
                 Ok(_) => spec.done_items.fetch_add(1, Ordering::Relaxed),
                 Err(_) => spec.failed_items.fetch_add(1, Ordering::Relaxed),
@@ -371,20 +377,21 @@ pub fn run_distributed(
             if let Some(j) = spec.journal {
                 let line = match res {
                     Ok(tps) => journal::entry_ok(&spec.work_names[i], tps),
-                    Err(report) => {
-                        let mut report = report.clone();
-                        report.item = i;
-                        journal::entry_failed(&spec.work_names[i], &report)
-                    }
+                    Err(report) => journal::entry_failed(&spec.work_names[i], report),
                 };
                 if let Err(e) = j.record(&line) {
                     journal_errors.lock().expect("journal error log").push(e);
                 }
             }
         };
-        let local = solver
-            .run_sessions_supervised(&sessions, spec.detect, spec.sup, &on_done)
-            .map_err(|e| format!("batch failed: {e}"))?;
+        let local = execute(
+            &pipeline,
+            &jobs,
+            spec.threads,
+            spec.sup,
+            spec.plans,
+            &on_done,
+        );
         if let Some(e) = journal_errors
             .lock()
             .expect("journal error log")
@@ -393,15 +400,8 @@ pub fn run_distributed(
         {
             return Err(e);
         }
-        for (k, res) in local.into_iter().enumerate() {
-            let i = fallback[k];
-            results[i] = Some(match res {
-                Ok(tps) => Ok(tps),
-                Err(mut report) => {
-                    report.item = i;
-                    Err(report)
-                }
-            });
+        for (&i, res) in fallback.iter().zip(local) {
+            results[i] = Some(res);
         }
     }
     Ok(results

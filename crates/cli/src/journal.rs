@@ -9,7 +9,7 @@
 //! the recovered resistor map. A torn final line — the process died
 //! mid-write — is tolerated on load and simply re-solved.
 
-use mea_obs::json;
+use mea_obs::{fnv, json};
 use parma::prelude::*;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -35,29 +35,21 @@ pub const HEADER_SCHEMA: &str = "parma-journal-header/v1";
 /// which entry readers (and [`load`]) skip by prefix, untouched.
 pub const TRACE_SCHEMA: &str = "parma-journal-trace/v1";
 
-/// FNV-1a 64 over raw bytes: a cheap, dependency-free content hash.
+/// FNV-1a 64 over raw bytes ([`mea_obs::fnv`]): a cheap, dependency-free
+/// content hash.
 pub fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv::fnv1a64(bytes)
 }
 
-/// FNV-1a 64 over the IEEE-754 bit patterns of a value slice: changes iff
-/// any output bit changes. Public because the serve result endpoint pins
-/// solution bits with the same hash the journal uses, so a journal line
-/// and an HTTP result for the same solve always agree.
+/// FNV-1a 64 over the little-endian IEEE-754 bit patterns of a value
+/// slice: changes iff any output bit changes. Public because the serve
+/// result endpoint pins solution bits with the same hash the journal
+/// uses, so a journal line and an HTTP result for the same solve always
+/// agree.
 pub fn fnv1a64(values: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    values.iter().fold(fnv::OFFSET, |h, v| {
+        fnv::extend(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 /// The provenance header line: who wrote this journal and under what

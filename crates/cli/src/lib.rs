@@ -66,7 +66,6 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), CliErro
         "solve" => commands::solve(&args, out).map_err(CliError::from),
         "convert" => commands::convert(&args, out).map_err(CliError::from),
         "batch" => commands::batch(&args, out),
-        "serve-metrics" => commands::serve_metrics(&args, out).map_err(CliError::from),
         "serve" => serve::serve(&args, out),
         "worker" => dist_cmd::worker(&args, out),
         "obs" => obs_cmd::obs(&args, out),
@@ -100,7 +99,6 @@ USAGE:
                   [--metrics-addr HOST:PORT] [--metrics-addr-file <file>]
                   [--metrics-linger S] [--quiet]
                   [--workers N] [--heartbeat-ms MS]
-  parma serve-metrics [--addr HOST:PORT] [--addr-file <file>] [--for S]
   parma serve     [--addr HOST:PORT] [--addr-file <file>] [--threads T]
                   [--queue N] [--tol E] [--detect F] [--max-retries N]
                   [--solve-deadline S] [--backoff-ms MS] [--journal <file>]
@@ -145,9 +143,6 @@ COMMANDS:
              output) with heartbeat death detection (--heartbeat-ms),
              automatic shard reassignment and in-process fallback when
              the last worker dies
-  serve-metrics
-             stand-alone metrics listener over the process-global registry
-             (--for S exits after S seconds; default serves until killed)
   serve      long-lived solve daemon: POST a dataset body to /jobs (append
              ?session=ID to warm-start a device from its previous solution),
              poll GET /jobs/<id>, fetch GET /jobs/<id>/result; jobs run

@@ -29,7 +29,6 @@ use crate::{journal, CliError};
 use mea_obs::json;
 use mea_obs::serve::{Handler, MetricsServer, Request, Response};
 use parma::prelude::*;
-use parma::service::ServiceStats;
 use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -159,7 +158,7 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let hook_journal = journal.clone();
     let hook_errors = Arc::clone(&journal_errors);
     let service = Arc::new(
-        parma::service::SolveService::start_with_hooks(
+        parma::service::SolveService::start(
             parma::service::ServiceConfig {
                 solver: config,
                 detection_factor: detect,
@@ -440,13 +439,4 @@ fn result_response(view: &parma::service::JobView) -> Response {
             &format!("job {} is still {}", view.id, view.state.label()),
         ),
     }
-}
-
-/// A summary line for the final drain report (used by tests to assert the
-/// stats type stays exported).
-pub fn stats_line(stats: &ServiceStats) -> String {
-    format!(
-        "{} submitted, {} completed, {} failed, {} rejected",
-        stats.submitted, stats.completed, stats.failed, stats.rejected
-    )
 }

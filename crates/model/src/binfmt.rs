@@ -83,17 +83,6 @@ pub const VERSION: u32 = 1;
 /// Ground-truth-present bit in a section's flags word.
 const SECTION_HAS_TRUTH: u32 = 1;
 
-/// FNV-1a 64-bit over a byte slice (the same function the journal uses;
-/// duplicated here because `mea-model` sits below the CLI).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The container's checksum: striped FNV-1a64 (see the module docs'
 /// integrity argument). Eight independent FNV lanes each fold one
 /// little-endian `u64` word per 64-byte block, the sub-block tail and
@@ -103,8 +92,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// lane changes); throughput is ~an order of magnitude past the
 /// byte-serial loop because the eight multiply chains are independent.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    use mea_obs::fnv::{fnv1a64, OFFSET, PRIME};
     const LANES: usize = 8;
     let mut h = [0u64; LANES];
     for (k, lane) in h.iter_mut().enumerate() {

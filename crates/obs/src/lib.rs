@@ -23,6 +23,8 @@
 //!   across processes,
 //! * [`fleet`] — the coordinator-side store of worker-shipped telemetry
 //!   (per-worker labeled series, retained flight-recorder tails),
+//! * [`fnv`] — FNV-1a 64, the one content hash behind journal
+//!   fingerprints, wire-frame sums and container checksums,
 //! * [`timeline`] — clock-offset-corrected cross-process causal timeline
 //!   reconstruction (`parma-timeline/v1`),
 //! * [`snapshot`] / [`Snapshot::to_json`] — export to machine-readable
@@ -48,6 +50,7 @@ pub mod context;
 pub mod events;
 pub mod expo;
 pub mod fleet;
+pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod serve;

@@ -1,9 +1,9 @@
 //! Splitting a thread budget between the batch and intra-solve axes.
 //!
-//! Before PR 6 `BatchSolver` pinned every inner solve to a single thread
-//! and spent the whole budget on the batch axis. That is optimal when
-//! items outnumber threads, but at paper scale (n = 64–100) a batch of a
-//! handful of large solves leaves most threads idle. [`ThreadBudget`]
+//! Pinning every inner solve to a single thread and spending the whole
+//! budget on the batch axis is optimal when items outnumber threads, but
+//! at paper scale (n = 64–100) a batch of a handful of large solves
+//! leaves most threads idle. [`ThreadBudget`]
 //! makes the trade explicit: the outer (batch) axis gets
 //! `min(total, items)` workers and the inner (intra-solve) axis divides
 //! the remainder, capped by the solve's own parallel width — the Betti

@@ -32,6 +32,7 @@
 //! lives in `parma::dist`.
 
 use crate::mpi_sim::block_range;
+use mea_obs::fnv;
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::time::Duration;
@@ -144,17 +145,6 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// FNV-1a-64 over raw bytes — the same hash the journal and `parma-bin`
-/// use, so the single-byte-detection argument carries over verbatim.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Writes one frame at [`PROTOCOL_VERSION`].
 pub fn write_frame<W: Write>(w: &mut W, kind: MsgKind, payload: &[u8]) -> std::io::Result<()> {
     write_frame_with_version(w, PROTOCOL_VERSION, kind, payload)
@@ -190,7 +180,7 @@ fn encode_frame_with_version(version: u16, kind: MsgKind, payload: &[u8]) -> Vec
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
+    let sum = fnv::fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -218,13 +208,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     r.read_exact(&mut payload)?;
     let mut sum_bytes = [0u8; 8];
     r.read_exact(&mut sum_bytes)?;
-    let mut h = fnv1a64(&header);
     // Continue the running hash over the payload without re-hashing the
     // header (FNV is a plain fold).
-    for &b in &payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv::extend(fnv::fnv1a64(&header), &payload);
     if h != u64::from_le_bytes(sum_bytes) {
         return Err(FrameError::BadChecksum);
     }

@@ -16,7 +16,7 @@
 //!    as a dead connection, not a result.
 
 use mea_parallel::dist::{
-    encode_frame, fnv1a64, read_frame, write_frame_with_version, Frame, FrameError, MsgKind,
+    encode_frame, read_frame, write_frame_with_version, Frame, FrameError, MsgKind,
 };
 
 const KINDS: [MsgKind; 6] = [
@@ -162,12 +162,18 @@ fn every_truncation_is_detected() {
     }
 }
 
-/// The frame hash is the workspace-standard FNV-1a-64 (same constants as
-/// the journal and `parma-bin`), pinned against the reference values so
-/// the three implementations can never drift apart.
+/// The frame hash is the workspace-standard FNV-1a-64 (`mea_obs::fnv`,
+/// shared with the journal and `parma-bin`), pinned against the reference
+/// values, and the trailer of an encoded frame is exactly that hash over
+/// the bytes before it.
 #[test]
 fn fnv_constants_match_the_reference_vectors() {
+    use mea_obs::fnv::fnv1a64;
     assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+
+    let frame = encode_frame(MsgKind::Assign, b"foobar");
+    let (body, sum) = frame.split_at(frame.len() - 8);
+    assert_eq!(u64::from_le_bytes(sum.try_into().unwrap()), fnv1a64(body));
 }

@@ -1,344 +1,251 @@
-//! Batched throughput solving: many measurements (or whole wet-lab
-//! sessions) in flight at once over the work-stealing pool.
+//! The job executor: the one path every role runs device sessions
+//! through — `parma batch` (preloaded and `--stream`), the sharded
+//! batch's in-process fallback, each `parma worker` task and each
+//! `parma serve` job.
 //!
-//! The per-*pair* parallelism inside one solve (`crate::solver`) is fine-
-//! grained and saturates quickly; when the workload is *many* devices —
-//! a plate of MEA wells measured together, or a parameter sweep — the
-//! right axis is one solve per work item. [`BatchSolver`] schedules whole
-//! solves on `mea_parallel::WorkStealingPool`, splitting its thread
-//! budget between the two axes ([`mea_parallel::ThreadBudget`]): the
-//! batch (outer) axis is saturated first — `min(threads, items)` workers,
-//! the historical single-thread-inner shape — and only a *surplus*
-//! (threads > items, the paper-scale few-large-solves regime) flows to
-//! the intra-solve axis, capped per item by its Betti parallelism bound
-//! β₁ ([`crate::betti`]). Inner sweeps always run
-//! [`Strategy::SingleThread`]; the intra-solve workers parallelize the
-//! structured *factorization* stages instead.
+//! [`execute`] schedules whole sessions on a `mea_parallel::WorkStealingPool`
+//! under the supervisor (`crate::supervisor`: panic isolation, retries
+//! with escalation, deadlines, quarantine) and splits its thread budget
+//! between two axes ([`ThreadBudget`]): the job (outer) axis is saturated
+//! first — `min(threads, jobs)` workers — and only a *surplus* (threads >
+//! jobs, the paper-scale few-large-solves regime) flows to the
+//! intra-solve axis, capped per job by its Betti parallelism bound β₁
+//! ([`crate::betti`]). Intra-solve workers parallelize the structured
+//! *factorization* stages; sweeps run under the configured strategy
+//! (single-threaded by default). Jobs read from
+//! files ([`Source::File`]) first carve I/O slots off the budget
+//! ([`IoBudget`]) for a [`StreamingLoader`] that prefetches while other
+//! jobs solve.
+//!
+//! What every role needs around a solve lives here once: plan reuse
+//! through the caller's process-lifetime [`PlanCache`], one
+//! [`SolveScratch`] per pool worker, the supervisor's escalation ladder
+//! and chaos injection, ingest failure rules, and failure reports keyed
+//! by the caller's job id.
 //!
 //! # Determinism
 //!
-//! Results come back in input order (`map_indexed` writes into per-index
-//! slots), and each solve is bitwise identical to running
-//! [`ParmaSolver::solve`] sequentially on the same measurement: the pair
-//! updates inside a sweep are independent and reduced in id order
-//! regardless of schedule, the batch engine shares one immutable
-//! [`SolvePlan`] per topology (which `solver::tests::
-//! plan_reuse_is_bitwise_identical` pins down), and the intra-solve
-//! factorization stages use fixed row-chunk partitions that are
-//! independent of the worker count. Thread count — on either axis — and
-//! steal interleavings affect wall time only, never bits.
+//! Outcomes come back in job order, and each session is bitwise
+//! identical to [`Pipeline::run`] on the same dataset (at the escalation
+//! level that succeeded): plans and scratch carry no data-dependent
+//! state, the intra-solve factorization stages use fixed row-chunk
+//! partitions independent of the worker count, and supervision acts only
+//! between attempts. Thread count — on either axis — worker placement
+//! and steal interleavings affect wall time only, never bits.
 
-use crate::config::ParmaConfig;
 use crate::error::ParmaError;
 use crate::pipeline::{Pipeline, TimePointResult};
-use crate::solver::{ParmaSolution, ParmaSolver, SolvePlan, SolveScratch};
+use crate::plan_cache::PlanCache;
+use crate::solver::SolveScratch;
 use crate::stream::{IngestError, StreamingLoader};
 use crate::supervisor::{supervise, FailureReport, SupervisorConfig};
-use mea_model::{MeaGrid, WetLabDataset, ZMatrix};
-use mea_parallel::{Interrupt, IoBudget, Strategy, ThreadBudget, WorkStealingPool};
-use std::cell::RefCell;
+use mea_model::{MeaGrid, ResistorGrid, WetLabDataset, ZMatrix};
+use mea_parallel::{CancelToken, Interrupt, IoBudget, ThreadBudget, WorkStealingPool};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Wall-clock per batch item (ms), attempts beyond the first included.
+/// Wall-clock per job attempt (ms).
 static ITEM_MS: mea_obs::hist::Hist = mea_obs::hist::Hist::new("parma.batch.item_ms");
 
-thread_local! {
-    /// One solve scratch per worker thread: items on the same worker share
-    /// factorization buffers across solves. Carries no data-dependent
-    /// state, so batch results stay bitwise independent of scheduling.
-    static SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
-}
-
-/// A batch driver: one configuration, `threads` outer workers.
+/// Where a job's dataset comes from.
 #[derive(Clone, Debug)]
-pub struct BatchSolver {
-    config: ParmaConfig,
+pub enum Source<'a> {
+    /// Already in memory.
+    Loaded(&'a WetLabDataset),
+    /// A dataset file, loaded and validated by the executor's I/O slots
+    /// while other jobs solve. A file that fails ingest is quarantined as
+    /// `non_finite_input` with no retries; the loaded dataset is kept
+    /// across retry attempts, except when the take itself was interrupted
+    /// (reported as a timeout or cancellation, and reloaded on retry).
+    File(PathBuf),
+}
+
+/// One device session to solve.
+#[derive(Clone, Debug)]
+pub struct Job<'a> {
+    /// The caller's id for this job. Failure reports, `on_done`, chaos
+    /// draws and flight-recorder events are keyed by it.
+    pub id: usize,
+    /// The session's dataset.
+    pub source: Source<'a>,
+    /// Seeds hour 0 from a previous session's `(resistors, impedances)`
+    /// pair; a seed of another geometry is ignored (cold start).
+    pub warm: Option<(ResistorGrid, ZMatrix)>,
+}
+
+impl<'a> Job<'a> {
+    /// A cold job over an in-memory dataset.
+    pub fn loaded(id: usize, dataset: &'a WetLabDataset) -> Self {
+        Job {
+            id,
+            source: Source::Loaded(dataset),
+            warm: None,
+        }
+    }
+
+    /// A cold job over a dataset file.
+    pub fn file(id: usize, path: PathBuf) -> Self {
+        Job {
+            id,
+            source: Source::File(path),
+            warm: None,
+        }
+    }
+}
+
+/// A decided job: every time point solved, or a quarantine report.
+pub type Outcome = Result<Vec<TimePointResult>, FailureReport>;
+
+/// Runs `jobs` through `pipeline` on `threads` threads under the
+/// supervisor policy `sup`, taking plans from `plans`, and returns the
+/// outcomes in job order. `on_done(id, outcome)` fires exactly once per
+/// job, as soon as its fate is decided (possibly on a worker thread) —
+/// which is what lets callers journal incrementally.
+pub fn execute(
+    pipeline: &Pipeline,
+    jobs: &[Job<'_>],
     threads: usize,
-}
-
-impl BatchSolver {
-    /// A batch solver with a total budget of `threads` workers (at least
-    /// one), split between the batch and intra-solve axes by
-    /// [`ThreadBudget::split`]. The configuration's `strategy` field is
-    /// ignored: inner *sweeps* always run single-threaded (the batch axis
-    /// owns the cores when items are plentiful); surplus threads
-    /// parallelize each item's structured factorization instead. Returns
-    /// [`ParmaError::InvalidConfig`] for out-of-range configurations.
-    pub fn new(config: ParmaConfig, threads: usize) -> Result<Self, ParmaError> {
-        config.validate()?;
-        Ok(BatchSolver {
-            config: config.with_strategy(Strategy::SingleThread),
-            threads: threads.max(1),
+    sup: &SupervisorConfig,
+    plans: &PlanCache,
+    on_done: &(dyn Fn(usize, &Outcome) + Sync),
+) -> Vec<Outcome> {
+    let _span = mea_obs::span("parma/batch");
+    // File jobs stream through one loader; `slots[k]` is job k's index
+    // in it.
+    let mut files = Vec::new();
+    let slots: Vec<Option<usize>> = jobs
+        .iter()
+        .map(|job| match &job.source {
+            Source::Loaded(_) => None,
+            Source::File(path) => {
+                files.push(path.clone());
+                Some(files.len() - 1)
+            }
         })
-    }
-
-    /// The (strategy-normalized) solver configuration.
-    pub fn config(&self) -> &ParmaConfig {
-        &self.config
-    }
-
-    /// Outer worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Solves every measurement, returning outcomes in input order.
-    ///
-    /// Per-topology [`SolvePlan`]s are built once and shared across items;
-    /// each item gets its own obs span and its wall time lands in the
-    /// `parma.batch.item_ms` series, id order, so traces stay comparable
-    /// across runs.
-    pub fn solve_all(&self, measurements: &[ZMatrix]) -> Vec<Result<ParmaSolution, ParmaError>> {
-        let _span = mea_obs::span("parma/batch");
-        let plans = plan_set(measurements.iter().map(|z| z.grid()));
-        let solver = ParmaSolver::new(self.config);
-        let budget = ThreadBudget::split(self.threads, measurements.len());
-        let pool = WorkStealingPool::new(budget.outer);
-        let timed: Vec<(Result<ParmaSolution, ParmaError>, f64)> =
-            pool.map_indexed(measurements.len(), |i| {
-                let _item = mea_obs::span("parma/batch/item");
-                let _scope = mea_obs::events::item_scope(i as u64);
-                let z = &measurements[i];
-                let plan = lookup(&plans, z.grid());
-                let t0 = Instant::now();
-                let out = SCRATCH.with(|scratch| {
-                    let mut scratch = scratch.borrow_mut();
-                    scratch.set_intra_threads(intra_width(&budget, z.grid()));
-                    solver.solve_with_scratch(plan, z, None, &mut scratch)
-                });
-                (out, t0.elapsed().as_secs_f64() * 1e3)
-            });
-        record_batch_obs(timed.iter().map(|(out, ms)| (out.is_err(), *ms)));
-        timed.into_iter().map(|(out, _)| out).collect()
-    }
-
-    /// Runs the full measurement-to-detection pipeline over every session,
-    /// one session per work item, results in input order.
-    ///
-    /// Time points *within* a session stay sequential — each warm-starts
-    /// from the previous solution — so the parallel axis is across
-    /// sessions, matching how a plate of wells is processed; session runs
-    /// keep their inner solves fully sequential (no intra-solve split —
-    /// the pipeline owns its own scratch). The outer `Err` is an up-front
-    /// configuration failure; per-session failures come back in their
-    /// slot without disturbing the rest of the batch.
-    #[allow(clippy::type_complexity)]
-    pub fn run_sessions(
-        &self,
-        datasets: &[WetLabDataset],
-        detection_factor: f64,
-    ) -> Result<Vec<Result<Vec<TimePointResult>, ParmaError>>, ParmaError> {
-        let pipeline = Pipeline::new(self.config, detection_factor)?;
-        let _span = mea_obs::span("parma/batch");
-        let pool = WorkStealingPool::new(self.threads);
-        let timed: Vec<(Result<Vec<TimePointResult>, ParmaError>, f64)> =
-            pool.map_indexed(datasets.len(), |i| {
-                let _item = mea_obs::span("parma/batch/item");
-                let _scope = mea_obs::events::item_scope(i as u64);
-                let t0 = Instant::now();
-                let out = pipeline.run(&datasets[i]);
-                (out, t0.elapsed().as_secs_f64() * 1e3)
-            });
-        record_batch_obs(timed.iter().map(|(out, ms)| (out.is_err(), *ms)));
-        Ok(timed.into_iter().map(|(out, _)| out).collect())
-    }
-
-    /// Supervised throughput solving: like [`Self::solve_all`] but items
-    /// that panic, time out, or diverge are retried per `sup` (escalating
-    /// the recovery configuration on divergence/timeout) and quarantined
-    /// with a classified [`FailureReport`] once retries are exhausted.
-    /// Healthy items complete regardless.
-    ///
-    /// With `sup.max_retries == 0`, no deadlines and no chaos, successful
-    /// results are bitwise identical to [`Self::solve_all`] (and therefore
-    /// to the sequential solver).
-    pub fn solve_all_supervised(
-        &self,
-        measurements: &[ZMatrix],
-        sup: &SupervisorConfig,
-    ) -> Vec<Result<ParmaSolution, FailureReport>> {
-        let _span = mea_obs::span("parma/batch");
-        let plans = plan_set(measurements.iter().map(|z| z.grid()));
-        let budget = ThreadBudget::split(self.threads, measurements.len());
-        let pool = WorkStealingPool::new(budget.outer);
-        let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-        let out = supervise(
-            &pool,
-            measurements.len(),
-            sup,
-            &|i, escalation, token| {
-                let _item = mea_obs::span("parma/batch/item");
-                let z = &measurements[i];
-                let plan = lookup(&plans, z.grid());
-                let solver =
-                    ParmaSolver::new(crate::supervisor::escalated(&self.config, escalation));
-                let t0 = Instant::now();
-                let res = SCRATCH.with(|scratch| {
-                    let mut scratch = scratch.borrow_mut();
-                    scratch.set_intra_threads(intra_width(&budget, z.grid()));
-                    solver.solve_supervised(plan, z, None, &mut scratch, token)
-                });
-                times
-                    .lock()
-                    .expect("batch timing lock")
-                    .push((i, t0.elapsed().as_secs_f64() * 1e3));
-                res
-            },
-            &|_, _| {},
-        );
-        record_supervised_obs(&times, &out, |r| r.is_err());
-        out
-    }
-
-    /// Supervised session runs: [`Self::run_sessions`] under the full
-    /// retry/backoff/quarantine policy. `on_done` fires exactly once per
-    /// dataset — as soon as it succeeds or is quarantined, possibly from a
-    /// worker thread — which is what lets callers journal results
-    /// incrementally (the CLI's `--resume` support).
-    #[allow(clippy::type_complexity)]
-    pub fn run_sessions_supervised(
-        &self,
-        datasets: &[WetLabDataset],
-        detection_factor: f64,
-        sup: &SupervisorConfig,
-        on_done: &(dyn Fn(usize, &Result<Vec<TimePointResult>, FailureReport>) + Sync),
-    ) -> Result<Vec<Result<Vec<TimePointResult>, FailureReport>>, ParmaError> {
-        let base_pipeline = Pipeline::new(self.config, detection_factor)?;
-        let _span = mea_obs::span("parma/batch");
-        let pool = WorkStealingPool::new(self.threads);
-        let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-        let out = supervise(
-            &pool,
-            datasets.len(),
-            sup,
-            &|i, escalation, token| {
-                let _item = mea_obs::span("parma/batch/item");
-                let pipeline = if escalation == 0 {
-                    base_pipeline.clone()
-                } else {
-                    Pipeline::new(
-                        crate::supervisor::escalated(&self.config, escalation),
-                        detection_factor,
-                    )?
-                };
-                let t0 = Instant::now();
-                let res = pipeline.run_supervised(&datasets[i], token, sup.solve_deadline);
-                times
-                    .lock()
-                    .expect("batch timing lock")
-                    .push((i, t0.elapsed().as_secs_f64() * 1e3));
-                res
-            },
-            on_done,
-        );
-        record_supervised_obs(&times, &out, |r| r.is_err());
-        Ok(out)
-    }
-
-    /// Streamed supervised session runs: like
-    /// [`Self::run_sessions_supervised`], but datasets are *paths* —
-    /// loading and validation overlap the solves. [`IoBudget::carve`]
-    /// splits the thread budget, a [`StreamingLoader`] prefetches on the
-    /// I/O side, and each compute worker rendezvouses with its dataset as
-    /// its work item comes up.
-    ///
-    /// Per-item semantics match the preloaded path exactly: a file that
-    /// fails ingest (unreadable, corrupt, non-physical values) is
-    /// quarantined as `non_finite_input` with no retries, without
-    /// disturbing the rest of the batch, and solve results over streamed
-    /// inputs are bitwise identical to preloading. The loaded dataset is
-    /// cached per item across retry attempts, so escalation never re-reads
-    /// the file; a take interrupted by cancellation or a deadline is
-    /// classified as such (never as bad input) and is *not* cached, so a
-    /// later attempt retries the load.
-    #[allow(clippy::type_complexity)]
-    pub fn run_streamed_supervised(
-        &self,
-        paths: &[PathBuf],
-        detection_factor: f64,
-        sup: &SupervisorConfig,
-        on_done: &(dyn Fn(usize, &Result<Vec<TimePointResult>, FailureReport>) + Sync),
-    ) -> Result<Vec<Result<Vec<TimePointResult>, FailureReport>>, ParmaError> {
-        let base_pipeline = Pipeline::new(self.config, detection_factor)?;
-        let _span = mea_obs::span("parma/batch");
-        let budget = IoBudget::carve(self.threads);
-        let pool = WorkStealingPool::new(budget.compute);
-        // Window: every compute worker can have one item in flight plus a
+        .collect();
+    let mut compute = threads.max(1);
+    let mut loader = None;
+    if !files.is_empty() {
+        let io = IoBudget::carve(threads);
+        compute = io.compute;
+        // Window: every compute worker can have one job in flight plus a
         // full I/O side of lookahead — bounded memory, never gates takes.
-        let loader =
-            StreamingLoader::start(paths.to_vec(), budget.io, budget.compute + budget.io + 1);
-        let cache: Vec<OnceLock<Result<Arc<WetLabDataset>, IngestError>>> =
-            paths.iter().map(|_| OnceLock::new()).collect();
-        let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-        let out = supervise(
-            &pool,
-            paths.len(),
-            sup,
-            &|i, escalation, token| {
-                let _item = mea_obs::span("parma/batch/item");
-                let dataset =
-                    loop {
-                        if let Some(cached) = cache[i].get() {
-                            break Arc::clone(cached.as_ref().map_err(|e| {
-                                ParmaError::Dataset(e.clone().into_dataset_error())
-                            })?);
-                        }
-                        let res = loader.take(i, token);
-                        if let Err(IngestError::Interrupted(interrupt)) = &res {
-                            // The attempt was stopped, not the file — report
-                            // the interrupt and leave the slot uncached so a
-                            // retry reloads.
-                            return Err(match interrupt {
-                                Interrupt::Cancelled => ParmaError::Cancelled { iterations: 0 },
-                                Interrupt::TimedOut => ParmaError::Timeout {
-                                    iterations: 0,
-                                    partial: None,
-                                },
-                            });
-                        }
-                        let _ = cache[i].set(res);
-                    };
-                let pipeline = if escalation == 0 {
-                    base_pipeline.clone()
-                } else {
-                    Pipeline::new(
-                        crate::supervisor::escalated(&self.config, escalation),
-                        detection_factor,
-                    )?
-                };
-                let t0 = Instant::now();
-                let res = pipeline.run_supervised(&dataset, token, sup.solve_deadline);
-                times
-                    .lock()
-                    .expect("batch timing lock")
-                    .push((i, t0.elapsed().as_secs_f64() * 1e3));
-                res
-            },
-            on_done,
-        );
-        record_supervised_obs(&times, &out, |r| r.is_err());
-        Ok(out)
+        loader = Some(StreamingLoader::start(files, io.io, io.compute + io.io + 1));
+    }
+    // Each file job's load, kept across its retry attempts.
+    let loaded: Vec<OnceLock<Result<Arc<WetLabDataset>, IngestError>>> =
+        slots.iter().flatten().map(|_| OnceLock::new()).collect();
+    let budget = ThreadBudget::split(compute, jobs.len());
+    let pool = WorkStealingPool::new(budget.outer);
+    let spare: Mutex<Vec<(MeaGrid, SolveScratch)>> = Mutex::new(Vec::new());
+    let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
+    let ids: Vec<usize> = jobs.iter().map(|job| job.id).collect();
+    let out = supervise(
+        &pool,
+        &ids,
+        sup,
+        &|k, escalation, token| {
+            let _item = mea_obs::span("parma/batch/item");
+            let job = &jobs[k];
+            let file;
+            let dataset: &WetLabDataset = match (&job.source, &loader) {
+                (Source::Loaded(ds), _) => ds,
+                (Source::File(_), Some(loader)) => {
+                    let slot = slots[k].expect("file jobs have a loader slot");
+                    file = ingest(loader, slot, &loaded[slot], token)?;
+                    &file
+                }
+                (Source::File(_), None) => unreachable!("file jobs start the loader"),
+            };
+            let mut scratch = take_scratch(&spare, dataset.grid);
+            scratch.set_intra_threads(intra_width(&budget, dataset.grid));
+            let t0 = Instant::now();
+            let res = pipeline.escalated(escalation).run_session(
+                dataset,
+                token,
+                sup.solve_deadline,
+                plans,
+                job.warm.clone(),
+                &mut scratch,
+            );
+            times
+                .lock()
+                .expect("batch timing lock")
+                .push((k, t0.elapsed().as_secs_f64() * 1e3));
+            spare
+                .lock()
+                .expect("scratch lock")
+                .push((dataset.grid, scratch));
+            res
+        },
+        &|k, outcome| on_done(jobs[k].id, outcome),
+    );
+    record_batch_obs(&times, &out);
+    out
+}
+
+/// A scratch for one attempt on `grid`: a spare one last used on the same
+/// geometry, else a fresh one. At most one attempt per pool worker runs at
+/// once, so retiring a spare whenever a fresh scratch is made keeps one
+/// scratch per pool worker — and a worker never holds buffers sized for a
+/// larger geometry than the job in hand.
+fn take_scratch(spare: &Mutex<Vec<(MeaGrid, SolveScratch)>>, grid: MeaGrid) -> SolveScratch {
+    let mut spare = spare.lock().expect("scratch lock");
+    match spare.iter().position(|(g, _)| *g == grid) {
+        Some(k) => spare.swap_remove(k).1,
+        None => {
+            spare.pop();
+            SolveScratch::new()
+        }
     }
 }
 
-/// Emits the batch counters and the id-ordered wall-time series for a
-/// supervised run: the same schema as the plain path (`parma.batch.items`,
-/// `parma.batch.failures`, `parma.batch.item_ms`), with attempts beyond
-/// the first contributing extra timing samples under the same item id.
-fn record_supervised_obs<T>(
-    times: &Mutex<Vec<(usize, f64)>>,
-    out: &[Result<T, FailureReport>],
-    failed: impl Fn(&Result<T, FailureReport>) -> bool,
-) {
-    let mut times = times.lock().expect("batch timing lock").clone();
+/// Takes file job `slot` from the loader, caching the load across retry
+/// attempts. An ingest failure surfaces as [`ParmaError::Dataset`]
+/// (`non_finite_input`, never retried); an interrupted take reports the
+/// interrupt and stays uncached, so a retry reloads.
+fn ingest(
+    loader: &StreamingLoader,
+    slot: usize,
+    cache: &OnceLock<Result<Arc<WetLabDataset>, IngestError>>,
+    token: &CancelToken,
+) -> Result<Arc<WetLabDataset>, ParmaError> {
+    loop {
+        if let Some(cached) = cache.get() {
+            return cached
+                .clone()
+                .map_err(|e| ParmaError::Dataset(e.into_dataset_error()));
+        }
+        match loader.take(slot, token) {
+            Err(IngestError::Interrupted(Interrupt::Cancelled)) => {
+                return Err(ParmaError::Cancelled { iterations: 0 })
+            }
+            Err(IngestError::Interrupted(Interrupt::TimedOut)) => {
+                return Err(ParmaError::Timeout {
+                    iterations: 0,
+                    partial: None,
+                })
+            }
+            res => {
+                let _ = cache.set(res);
+            }
+        }
+    }
+}
+
+/// Emits the batch counters and the job-ordered wall-time series
+/// (`parma.batch.items`, `parma.batch.failures`, `parma.batch.item_ms` —
+/// the schema the golden-trace test pins), attempts beyond the first
+/// contributing extra samples under the same job.
+fn record_batch_obs(times: &Mutex<Vec<(usize, f64)>>, out: &[Outcome]) {
+    let mut times = std::mem::take(&mut *times.lock().expect("batch timing lock"));
     times.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let ms: Vec<f64> = times.into_iter().map(|(_, ms)| ms).collect();
     mea_obs::counter_add("parma.batch.items", out.len() as u64);
     mea_obs::counter_add(
         "parma.batch.failures",
-        out.iter().filter(|r| failed(r)).count() as u64,
+        out.iter().filter(|r| r.is_err()).count() as u64,
     );
     for &v in &ms {
         ITEM_MS.record(v);
@@ -346,10 +253,10 @@ fn record_supervised_obs<T>(
     mea_obs::record_series("parma.batch.item_ms", &ms);
 }
 
-/// Intra-solve width for one item: the budget's inner share, capped by
+/// Intra-solve width for one job: the budget's inner share, capped by
 /// the grid's Betti parallelism bound β₁ (more workers than independent
 /// cycles buys nothing — `crate::betti`). Skips the homology computation
-/// entirely in the common items-saturated regime where the batch axis
+/// entirely in the common jobs-saturated regime where the job axis
 /// already owns the whole budget.
 fn intra_width(budget: &ThreadBudget, grid: MeaGrid) -> usize {
     if budget.inner <= 1 {
@@ -359,46 +266,13 @@ fn intra_width(budget: &ThreadBudget, grid: MeaGrid) -> usize {
     }
 }
 
-/// One plan per distinct geometry in the batch (batches are usually
-/// homogeneous, so this is almost always a single entry).
-fn plan_set(grids: impl Iterator<Item = MeaGrid>) -> Vec<SolvePlan> {
-    let mut plans: Vec<SolvePlan> = Vec::new();
-    for grid in grids {
-        if !plans.iter().any(|p| p.grid() == grid) {
-            plans.push(SolvePlan::new(grid));
-        }
-    }
-    plans
-}
-
-fn lookup(plans: &[SolvePlan], grid: MeaGrid) -> &SolvePlan {
-    plans
-        .iter()
-        .find(|p| p.grid() == grid)
-        .expect("every batch geometry has a plan by construction")
-}
-
-/// Batch-level observability: item/failure counters plus the id-ordered
-/// per-item wall-time series (the schema the golden-trace test pins).
-fn record_batch_obs(items: impl Iterator<Item = (bool, f64)>) {
-    let mut times = Vec::new();
-    let mut failures = 0u64;
-    for (failed, ms) in items {
-        times.push(ms);
-        failures += failed as u64;
-    }
-    mea_obs::counter_add("parma.batch.items", times.len() as u64);
-    mea_obs::counter_add("parma.batch.failures", failures);
-    for &v in &times {
-        ITEM_MS.record(v);
-    }
-    mea_obs::record_series("parma.batch.item_ms", &times);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mea_model::{AnomalyConfig, CrossingMatrix, ForwardSolver};
+    use crate::config::ParmaConfig;
+    use crate::solver::{ParmaSolution, ParmaSolver};
+    use crate::supervisor::FailureKind;
+    use mea_model::{AnomalyConfig, CrossingMatrix, ForwardSolver, Measurement};
 
     fn measurements(n: usize, count: usize) -> Vec<ZMatrix> {
         (0..count)
@@ -410,105 +284,152 @@ mod tests {
             .collect()
     }
 
+    /// A one-time-point session around `z`, at the solver's default
+    /// voltage — so its solve is exactly `ParmaSolver::solve(z)`.
+    fn single(z: &ZMatrix) -> WetLabDataset {
+        WetLabDataset {
+            grid: z.grid(),
+            measurements: vec![Measurement {
+                hours: 0,
+                voltage: ParmaConfig::default().voltage,
+                z: z.clone(),
+                ground_truth: None,
+            }],
+        }
+    }
+
+    fn singles(zs: &[ZMatrix]) -> Vec<WetLabDataset> {
+        zs.iter().map(single).collect()
+    }
+
+    fn sessions(n: usize, count: u64, seed: u64) -> Vec<WetLabDataset> {
+        (0..count)
+            .map(|k| {
+                WetLabDataset::generate(MeaGrid::square(n), &AnomalyConfig::default(), seed + k)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn pipeline(config: ParmaConfig) -> Pipeline {
+        Pipeline::new(config, 1.5).unwrap()
+    }
+
+    fn no_retries() -> SupervisorConfig {
+        SupervisorConfig {
+            max_retries: 0,
+            ..Default::default()
+        }
+    }
+
+    /// Runs in-memory datasets as jobs `0..n` with a fresh plan cache.
+    fn run(
+        pipeline: &Pipeline,
+        datasets: &[WetLabDataset],
+        threads: usize,
+        sup: &SupervisorConfig,
+    ) -> Vec<Outcome> {
+        let jobs: Vec<Job> = datasets
+            .iter()
+            .enumerate()
+            .map(|(i, ds)| Job::loaded(i, ds))
+            .collect();
+        execute(pipeline, &jobs, threads, sup, &PlanCache::new(), &|_, _| {})
+    }
+
+    /// The only time point's solution of a successful one-point job.
+    fn solution(out: &Outcome) -> &ParmaSolution {
+        &out.as_ref().expect("job succeeds")[0].solution
+    }
+
+    fn assert_bitwise(a: &ParmaSolution, b: &ParmaSolution, label: &str) {
+        assert_eq!(a.iterations, b.iterations, "{label}");
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "{label}");
+        let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.history), bits(&b.history), "{label}");
+        assert_eq!(a.recovery, b.recovery, "{label}");
+        assert_eq!(
+            bits(a.resistors.as_slice()),
+            bits(b.resistors.as_slice()),
+            "{label}"
+        );
+    }
+
+    fn assert_sessions_bitwise(a: &[TimePointResult], b: &[TimePointResult], label: &str) {
+        assert_eq!(a.len(), b.len(), "{label}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.hours, y.hours, "{label}");
+            assert_bitwise(&x.solution, &y.solution, label);
+        }
+    }
+
     #[test]
     fn batch_matches_sequential_bitwise() {
         let zs = measurements(5, 6);
         let solver = ParmaSolver::new(ParmaConfig::default());
-        let batch = BatchSolver::new(ParmaConfig::default(), 4).unwrap();
-        let batched = batch.solve_all(&zs);
-        assert_eq!(batched.len(), zs.len());
-        for (z, out) in zs.iter().zip(&batched) {
-            let sequential = solver.solve(z).unwrap();
-            let b = out.as_ref().unwrap();
-            assert_eq!(b.iterations, sequential.iterations);
-            for (x, y) in b
-                .resistors
-                .as_slice()
-                .iter()
-                .zip(sequential.resistors.as_slice())
-            {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let out = run(
+            &pipeline(ParmaConfig::default()),
+            &singles(&zs),
+            4,
+            &no_retries(),
+        );
+        assert_eq!(out.len(), zs.len());
+        for (i, (z, o)) in zs.iter().zip(&out).enumerate() {
+            assert_bitwise(solution(o), &solver.solve(z).unwrap(), &format!("job {i}"));
         }
     }
 
     #[test]
     fn thread_count_never_changes_bits() {
-        let zs = measurements(4, 5);
-        let one = BatchSolver::new(ParmaConfig::default(), 1)
-            .unwrap()
-            .solve_all(&zs);
+        let datasets = singles(&measurements(4, 5));
+        let p = pipeline(ParmaConfig::default());
+        let one = run(&p, &datasets, 1, &no_retries());
         for threads in [2usize, 3, 8] {
-            let many = BatchSolver::new(ParmaConfig::default(), threads)
-                .unwrap()
-                .solve_all(&zs);
+            let many = run(&p, &datasets, threads, &no_retries());
             for (a, b) in one.iter().zip(&many) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.iterations, b.iterations, "{threads} threads");
-                for (x, y) in a.resistors.as_slice().iter().zip(b.resistors.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
-                }
+                assert_bitwise(solution(a), solution(b), &format!("{threads} threads"));
             }
         }
     }
 
     #[test]
     fn surplus_threads_flow_to_the_intra_solve_axis_without_changing_bits() {
-        // Few large items, many threads: ThreadBudget routes the surplus
-        // to each item's structured factorization (dim = 2n−1 = 49 ≥
+        // Few large jobs, many threads: ThreadBudget routes the surplus
+        // to each job's structured factorization (dim = 2n−1 = 49 ≥
         // STRUCTURED_MIN_DIM at n = 25, so the auto dispatch takes the
-        // structured path and the intra pool actually runs). Capped
-        // iterations keep the test cheap; partial results must still be
-        // bitwise identical to the single-thread run.
-        let zs = measurements(25, 2);
-        let cfg = ParmaConfig {
-            max_iter: 3,
-            tol: 1e-15,
+        // structured path and the intra pool actually runs). A loose
+        // tolerance keeps the solves short; they must still be bitwise
+        // identical to the single-thread run.
+        let datasets = singles(&measurements(25, 2));
+        let p = pipeline(ParmaConfig {
+            tol: 1e-4,
             ..Default::default()
-        };
-        let bits_for = |threads: usize| -> Vec<Vec<u64>> {
-            BatchSolver::new(cfg, threads)
-                .unwrap()
-                .solve_all(&zs)
-                .into_iter()
-                .map(|r| match r {
-                    Ok(sol) => sol
-                        .resistors
-                        .as_slice()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect(),
-                    Err(ParmaError::NoConvergence { partial, .. }) => {
-                        partial.as_slice().iter().map(|v| v.to_bits()).collect()
-                    }
-                    Err(e) => panic!("unexpected failure: {e}"),
-                })
-                .collect()
-        };
-        assert_eq!(
-            bits_for(1),
-            bits_for(8),
-            "intra-solve width must not change bits"
-        );
+        });
+        assert_eq!(ThreadBudget::split(8, datasets.len()).inner, 4);
+        let narrow = run(&p, &datasets, 1, &no_retries());
+        let wide = run(&p, &datasets, 8, &no_retries());
+        for (a, b) in narrow.iter().zip(&wide) {
+            assert_bitwise(solution(a), solution(b), "intra-solve width");
+        }
     }
 
     #[test]
     fn failures_stay_in_their_slot() {
         let mut zs = measurements(3, 3);
-        // Item 1 cannot converge in one iteration at an absurd tolerance.
-        let cfg = ParmaConfig {
+        // Nothing converges in one iteration at an absurd tolerance.
+        zs.insert(1, zs[0].clone());
+        let p = pipeline(ParmaConfig {
             max_iter: 1,
             tol: 1e-16,
             ..Default::default()
-        };
-        zs.insert(1, zs[0].clone());
-        let out = BatchSolver::new(cfg, 2).unwrap().solve_all(&zs);
+        });
+        let out = run(&p, &singles(&zs), 2, &no_retries());
         assert_eq!(out.len(), 4);
-        for res in &out {
-            assert!(matches!(
-                res,
-                Err(ParmaError::NoConvergence { partial, .. }) if partial.is_physical()
-            ));
+        for (i, res) in out.iter().enumerate() {
+            let report = res.as_ref().unwrap_err();
+            assert_eq!(report.item, i);
+            assert_eq!(report.kind, FailureKind::Divergence);
+            assert_eq!(report.attempts.len(), 1);
         }
     }
 
@@ -517,15 +438,22 @@ mod tests {
         let mut zs = measurements(3, 2);
         zs.extend(measurements(5, 2));
         let solver = ParmaSolver::new(ParmaConfig::default());
-        let out = BatchSolver::new(ParmaConfig::default(), 3)
-            .unwrap()
-            .solve_all(&zs);
+        let datasets = singles(&zs);
+        let jobs: Vec<Job> = datasets
+            .iter()
+            .enumerate()
+            .map(|(i, ds)| Job::loaded(i, ds))
+            .collect();
+        let plans = PlanCache::new();
+        let p = pipeline(ParmaConfig::default());
+        let out = execute(&p, &jobs, 3, &no_retries(), &plans, &|_, _| {});
+        assert_eq!(plans.len(), 2, "one plan per geometry");
         for (z, res) in zs.iter().zip(&out) {
-            let b = res.as_ref().unwrap();
+            let b = solution(res);
             assert_eq!(b.resistors.grid(), z.grid());
-            let sequential = solver.solve(z).unwrap();
             assert_eq!(
-                b.resistors.rel_max_diff(&sequential.resistors),
+                b.resistors
+                    .rel_max_diff(&solver.solve(z).unwrap().resistors),
                 0.0,
                 "plan sharing must not leak across geometries"
             );
@@ -534,20 +462,27 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = BatchSolver::new(ParmaConfig::default(), 4)
-            .unwrap()
-            .solve_all(&[]);
+        let out = execute(
+            &pipeline(ParmaConfig::default()),
+            &[],
+            4,
+            &SupervisorConfig::default(),
+            &PlanCache::new(),
+            &|_, _| panic!("no job, no callback"),
+        );
         assert!(out.is_empty());
     }
 
     #[test]
     fn invalid_config_is_rejected_up_front() {
+        // The executor takes a validated pipeline: a bad configuration
+        // never reaches a job.
         let cfg = ParmaConfig {
             damping: 2.0,
             ..Default::default()
         };
         assert!(matches!(
-            BatchSolver::new(cfg, 4),
+            Pipeline::new(cfg, 1.5),
             Err(ParmaError::InvalidConfig(_))
         ));
     }
@@ -556,63 +491,47 @@ mod tests {
     fn invalid_item_is_reported_not_panicked() {
         let mut zs = measurements(3, 2);
         zs.push(CrossingMatrix::filled(MeaGrid::square(3), -2.0));
-        let out = BatchSolver::new(ParmaConfig::default(), 2)
-            .unwrap()
-            .solve_all(&zs);
+        let out = run(
+            &pipeline(ParmaConfig::default()),
+            &singles(&zs),
+            2,
+            &no_retries(),
+        );
         assert!(out[0].is_ok() && out[1].is_ok());
-        assert!(matches!(out[2], Err(ParmaError::InvalidMeasurement(_))));
+        let report = out[2].as_ref().unwrap_err();
+        assert_eq!(report.kind, FailureKind::NonFiniteInput);
+        assert!(report.detail.contains("invalid measurement"), "{report}");
     }
 
     #[test]
     fn sessions_match_the_sequential_pipeline() {
-        let datasets: Vec<WetLabDataset> = (0..3)
-            .map(|k| {
-                WetLabDataset::generate(MeaGrid::square(4), &AnomalyConfig::default(), 70 + k)
-                    .unwrap()
-            })
-            .collect();
-        let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
-        let out = batch.run_sessions(&datasets, 1.5).unwrap();
+        let datasets = sessions(4, 3, 70);
+        let p = pipeline(ParmaConfig::default());
+        let out = run(&p, &datasets, 2, &SupervisorConfig::default());
         assert_eq!(out.len(), 3);
-        for (ds, res) in datasets.iter().zip(&out) {
-            let batched = res.as_ref().unwrap();
-            let sequential = pipeline.run(ds).unwrap();
-            assert_eq!(batched.len(), sequential.len());
-            for (b, s) in batched.iter().zip(&sequential) {
-                assert_eq!(b.hours, s.hours);
-                assert_eq!(b.solution.iterations, s.solution.iterations);
-                for (x, y) in b
-                    .solution
-                    .resistors
-                    .as_slice()
-                    .iter()
-                    .zip(s.solution.resistors.as_slice())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+        for (d, (ds, res)) in datasets.iter().zip(&out).enumerate() {
+            assert_sessions_bitwise(
+                res.as_ref().unwrap(),
+                &p.run(ds).unwrap(),
+                &format!("dataset {d}"),
+            );
         }
     }
 
     #[test]
     fn supervised_with_retries_disabled_matches_plain_bitwise() {
         // The determinism contract: no retries, no deadlines, no chaos →
-        // the supervised path is the plain path, bit for bit.
+        // the executor is the plain sequential solver, bit for bit.
         let zs = measurements(5, 4);
-        let batch = BatchSolver::new(ParmaConfig::default(), 3).unwrap();
-        let plain = batch.solve_all(&zs);
-        let sup = SupervisorConfig {
-            max_retries: 0,
-            ..Default::default()
-        };
-        let supervised = batch.solve_all_supervised(&zs, &sup);
-        for (a, b) in plain.iter().zip(&supervised) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.iterations, b.iterations);
-            for (x, y) in a.resistors.as_slice().iter().zip(b.resistors.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let solver = ParmaSolver::new(ParmaConfig::default());
+        let out = run(
+            &pipeline(ParmaConfig::default()),
+            &singles(&zs),
+            3,
+            &no_retries(),
+        );
+        for (z, o) in zs.iter().zip(&out) {
+            assert_bitwise(solution(o), &solver.solve(z).unwrap(), "no retries");
         }
     }
 
@@ -621,24 +540,22 @@ mod tests {
         // Base config too tight to converge (1 iteration) and recovery off:
         // the first attempt diverges, the escalated retries widen the
         // budget and arm the ladder until the solve lands.
-        let zs = measurements(4, 3);
-        let cfg = ParmaConfig {
+        let p = pipeline(ParmaConfig {
             max_iter: 1,
             recovery: false,
             ..Default::default()
-        };
-        let batch = BatchSolver::new(cfg, 2).unwrap();
+        });
         let sup = SupervisorConfig {
             max_retries: 8,
             backoff: std::time::Duration::ZERO,
             ..Default::default()
         };
-        let out = batch.solve_all_supervised(&zs, &sup);
+        let out = run(&p, &singles(&measurements(4, 3)), 2, &sup);
         for (i, r) in out.iter().enumerate() {
-            let sol = r
+            let tps = r
                 .as_ref()
-                .unwrap_or_else(|rep| panic!("item {i} should be rescued, got {rep}"));
-            assert!(sol.residual <= ParmaConfig::default().tol);
+                .unwrap_or_else(|rep| panic!("job {i} should be rescued, got {rep}"));
+            assert!(tps[0].solution.residual <= ParmaConfig::default().tol);
         }
     }
 
@@ -646,81 +563,140 @@ mod tests {
     fn supervised_quarantines_bad_items_and_finishes_the_rest() {
         let mut zs = measurements(4, 3);
         zs.insert(1, CrossingMatrix::filled(MeaGrid::square(4), -2.0));
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
-        let out = batch.solve_all_supervised(&zs, &SupervisorConfig::default());
+        let out = run(
+            &pipeline(ParmaConfig::default()),
+            &singles(&zs),
+            2,
+            &SupervisorConfig::default(),
+        );
         assert_eq!(out.len(), 4);
         let report = out[1].as_ref().unwrap_err();
-        assert_eq!(report.kind, crate::supervisor::FailureKind::NonFiniteInput);
+        assert_eq!(report.kind, FailureKind::NonFiniteInput);
         assert_eq!(report.item, 1);
         assert_eq!(report.attempts.len(), 1, "bad input gets no retries");
         for i in [0usize, 2, 3] {
-            assert!(out[i].is_ok(), "healthy item {i} must complete");
+            assert!(out[i].is_ok(), "healthy job {i} must complete");
         }
     }
 
     #[test]
     fn supervised_sessions_match_plain_sessions_bitwise() {
-        let datasets: Vec<WetLabDataset> = (0..3)
-            .map(|k| {
-                WetLabDataset::generate(MeaGrid::square(4), &AnomalyConfig::default(), 80 + k)
-                    .unwrap()
-            })
+        let datasets = sessions(4, 3, 80);
+        let p = pipeline(ParmaConfig::default());
+        let jobs: Vec<Job> = datasets
+            .iter()
+            .enumerate()
+            .map(|(i, ds)| Job::loaded(i, ds))
             .collect();
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
-        let plain = batch.run_sessions(&datasets, 1.5).unwrap();
-        let sup = SupervisorConfig {
-            max_retries: 0,
-            ..Default::default()
-        };
-        let done_count = std::sync::atomic::AtomicUsize::new(0);
-        let supervised = batch
-            .run_sessions_supervised(&datasets, 1.5, &sup, &|_, result| {
-                assert!(result.is_ok());
-                done_count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            })
-            .unwrap();
-        assert_eq!(done_count.load(std::sync::atomic::Ordering::SeqCst), 3);
-        for (p, s) in plain.iter().zip(&supervised) {
-            let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
-            assert_eq!(p.len(), s.len());
-            for (a, b) in p.iter().zip(s) {
-                assert_eq!(a.solution.iterations, b.solution.iterations);
-                for (x, y) in a
-                    .solution
-                    .resistors
-                    .as_slice()
-                    .iter()
-                    .zip(b.solution.resistors.as_slice())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+        let fired = Mutex::new(Vec::new());
+        let out = execute(&p, &jobs, 2, &no_retries(), &PlanCache::new(), &|id, r| {
+            assert!(r.is_ok());
+            fired.lock().unwrap().push(id);
+        });
+        let mut fired = fired.into_inner().unwrap();
+        fired.sort_unstable();
+        assert_eq!(fired, vec![0, 1, 2], "on_done fires once per job");
+        for (d, (ds, res)) in datasets.iter().zip(&out).enumerate() {
+            assert_sessions_bitwise(
+                res.as_ref().unwrap(),
+                &p.run(ds).unwrap(),
+                &format!("dataset {d}"),
+            );
         }
     }
 
     #[test]
     fn supervised_solve_deadline_quarantines_as_timeout() {
-        let zs = measurements(4, 2);
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
         let sup = SupervisorConfig {
             max_retries: 1,
             solve_deadline: Some(std::time::Duration::ZERO),
             backoff: std::time::Duration::ZERO,
             ..Default::default()
         };
-        let out = batch.solve_all_supervised(&zs, &sup);
+        let out = run(
+            &pipeline(ParmaConfig::default()),
+            &singles(&measurements(4, 2)),
+            2,
+            &sup,
+        );
         for r in &out {
             let report = r.as_ref().unwrap_err();
-            assert_eq!(report.kind, crate::supervisor::FailureKind::Timeout);
+            assert_eq!(report.kind, FailureKind::Timeout);
             assert_eq!(report.attempts.len(), 2, "timeout retries then quarantines");
         }
     }
 
     #[test]
+    fn on_done_and_reports_are_keyed_by_the_callers_id() {
+        let mut zs = measurements(3, 3);
+        zs[1] = CrossingMatrix::filled(MeaGrid::square(3), -2.0);
+        let datasets = singles(&zs);
+        let jobs: Vec<Job> = datasets
+            .iter()
+            .enumerate()
+            .map(|(k, ds)| Job::loaded(10 * (k + 1), ds))
+            .collect();
+        let fired = Mutex::new(Vec::new());
+        let out = execute(
+            &pipeline(ParmaConfig::default()),
+            &jobs,
+            2,
+            &SupervisorConfig::default(),
+            &PlanCache::new(),
+            &|id, r| fired.lock().unwrap().push((id, r.is_ok())),
+        );
+        let mut fired = fired.into_inner().unwrap();
+        fired.sort_unstable();
+        assert_eq!(fired, vec![(10, true), (20, false), (30, true)]);
+        assert_eq!(out[1].as_ref().unwrap_err().item, 20);
+    }
+
+    #[test]
+    fn one_plan_per_geometry_across_jobs_and_retries() {
+        // Three same-geometry jobs, each retried once after a deadline:
+        // the caller's cache analyzes the geometry exactly once.
+        let datasets = sessions(4, 3, 60);
+        let jobs: Vec<Job> = datasets
+            .iter()
+            .enumerate()
+            .map(|(i, ds)| Job::loaded(i, ds))
+            .collect();
+        let plans = PlanCache::new();
+        let sup = SupervisorConfig {
+            max_retries: 1,
+            solve_deadline: Some(std::time::Duration::ZERO),
+            backoff: std::time::Duration::ZERO,
+            ..Default::default()
+        };
+        // One thread: racing first lookups may both analyze.
+        let p = pipeline(ParmaConfig::default());
+        execute(&p, &jobs, 1, &sup, &plans, &|_, _| {});
+        let (hits, misses) = plans.stats();
+        assert_eq!(misses, 1);
+        assert_eq!(hits, 5, "every other session attempt hits");
+    }
+
+    fn write_sessions(dir: &std::path::Path, seed: u64, count: u64) -> Vec<PathBuf> {
+        std::fs::create_dir_all(dir).unwrap();
+        (0..count)
+            .map(|k| {
+                let ds = WetLabDataset::generate(
+                    MeaGrid::square(4),
+                    &AnomalyConfig::default(),
+                    seed + k,
+                )
+                .unwrap();
+                let path = dir.join(format!("s{k}.pbin"));
+                ds.save_binary(&path).unwrap();
+                path
+            })
+            .collect()
+    }
+
+    #[test]
     fn streamed_sessions_match_preloaded_sessions_bitwise() {
-        // The tentpole's determinism gate: solving from a mixed
-        // text/binary directory through the streaming loader is bitwise
-        // identical to preloading every dataset first.
+        // Solving from a mixed text/binary directory through the streaming
+        // loader is bitwise identical to preloading every dataset first.
         let dir = std::env::temp_dir().join("parma-batch-streamed");
         std::fs::create_dir_all(&dir).unwrap();
         let mut paths = Vec::new();
@@ -740,33 +716,23 @@ mod tests {
             paths.push(path);
             datasets.push(ds);
         }
-        let batch = BatchSolver::new(ParmaConfig::default(), 3).unwrap();
-        let sup = SupervisorConfig {
-            max_retries: 0,
-            ..Default::default()
-        };
-        let preloaded = batch
-            .run_sessions_supervised(&datasets, 1.5, &sup, &|_, _| {})
-            .unwrap();
-        let streamed = batch
-            .run_streamed_supervised(&paths, 1.5, &sup, &|_, r| assert!(r.is_ok()))
-            .unwrap();
+        let p = pipeline(ParmaConfig::default());
+        let preloaded = run(&p, &datasets, 3, &no_retries());
+        let files: Vec<Job> = paths
+            .iter()
+            .enumerate()
+            .map(|(i, path)| Job::file(i, path.clone()))
+            .collect();
+        let streamed = execute(&p, &files, 3, &no_retries(), &PlanCache::new(), &|_, r| {
+            assert!(r.is_ok())
+        });
         assert_eq!(preloaded.len(), streamed.len());
-        for (p, s) in preloaded.iter().zip(&streamed) {
-            let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
-            assert_eq!(p.len(), s.len());
-            for (a, b) in p.iter().zip(s) {
-                assert_eq!(a.solution.iterations, b.solution.iterations);
-                for (x, y) in a
-                    .solution
-                    .resistors
-                    .as_slice()
-                    .iter()
-                    .zip(b.solution.resistors.as_slice())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+        for (d, (a, b)) in preloaded.iter().zip(&streamed).enumerate() {
+            assert_sessions_bitwise(
+                a.as_ref().unwrap(),
+                b.as_ref().unwrap(),
+                &format!("dataset {d}"),
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -774,45 +740,47 @@ mod tests {
     #[test]
     fn streamed_ingest_failures_quarantine_without_retries_or_spread() {
         let dir = std::env::temp_dir().join("parma-batch-streamed-bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut paths = Vec::new();
-        for k in 0..3u64 {
-            let ds = WetLabDataset::generate(MeaGrid::square(4), &AnomalyConfig::default(), 40 + k)
-                .unwrap();
-            let p = dir.join(format!("s{k}.pbin"));
-            ds.save_binary(&p).unwrap();
-            paths.push(p);
-        }
-        // Item 1: flip a payload byte — the checksum pass must catch it.
+        let mut paths = write_sessions(&dir, 40, 3);
+        // Job 1: flip a payload byte — the checksum pass must catch it.
         let corrupt = dir.join("corrupt.pbin");
         let mut bytes = std::fs::read(&paths[1]).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x80;
         std::fs::write(&corrupt, &bytes).unwrap();
         paths[1] = corrupt;
-        // Item 3: missing file.
+        // Job 3: missing file.
         paths.push(dir.join("missing.pbin"));
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
-        let out = batch
-            .run_streamed_supervised(&paths, 1.5, &SupervisorConfig::default(), &|_, _| {})
-            .unwrap();
+        let jobs: Vec<Job> = paths
+            .iter()
+            .enumerate()
+            .map(|(i, path)| Job::file(i, path.clone()))
+            .collect();
+        let out = execute(
+            &pipeline(ParmaConfig::default()),
+            &jobs,
+            2,
+            &SupervisorConfig::default(),
+            &PlanCache::new(),
+            &|_, _| {},
+        );
         assert_eq!(out.len(), 4);
         for i in [1usize, 3] {
             let report = out[i].as_ref().unwrap_err();
-            assert_eq!(report.kind, crate::supervisor::FailureKind::NonFiniteInput);
+            assert_eq!(report.kind, FailureKind::NonFiniteInput);
             assert_eq!(report.attempts.len(), 1, "ingest failures get no retries");
         }
         for i in [0usize, 2] {
-            assert!(out[i].is_ok(), "healthy item {i} must complete");
+            assert!(out[i].is_ok(), "healthy job {i} must complete");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bad_detection_factor_fails_the_whole_call() {
-        let batch = BatchSolver::new(ParmaConfig::default(), 2).unwrap();
+        // A bad detection factor is rejected where the executor's pipeline
+        // is built, before any job runs.
         assert!(matches!(
-            batch.run_sessions(&[], 0.5),
+            Pipeline::new(ParmaConfig::default(), 0.5),
             Err(ParmaError::InvalidConfig(_))
         ));
     }

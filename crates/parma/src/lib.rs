@@ -46,7 +46,6 @@ pub mod dist;
 pub mod error;
 pub mod formation;
 pub mod full_newton;
-pub mod manifold;
 pub mod newton;
 pub mod path_solver;
 pub mod persistence;
@@ -58,13 +57,13 @@ pub mod solver;
 pub mod stream;
 pub mod supervisor;
 
-pub use batch::BatchSolver;
+pub use batch::{execute, Job, Outcome, Source};
 pub use betti::{parallelism_bound, BettiSchedule};
 pub use config::ParmaConfig;
 pub use detect::{detect_anomalies, DetectionReport};
 pub use error::ParmaError;
 pub use formation::form_equations_parallel;
-pub use plan_cache::{PlanCache, TopologyCache};
+pub use plan_cache::PlanCache;
 pub use service::{AdmissionError, JobState, JobView, ServiceConfig, ServiceStats, SolveService};
 pub use session::SessionStore;
 pub use solver::{
@@ -75,7 +74,6 @@ pub use supervisor::{AttemptFailure, FailureKind, FailureReport, SupervisorConfi
 
 /// Everything a typical caller needs.
 pub mod prelude {
-    pub use crate::batch::BatchSolver;
     pub use crate::betti::parallelism_bound;
     pub use crate::config::ParmaConfig;
     pub use crate::detect::{detect_anomalies, DetectionReport};

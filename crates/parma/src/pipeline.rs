@@ -18,8 +18,6 @@ use mea_model::WetLabDataset;
 use mea_parallel::CancelToken;
 use std::sync::Arc;
 
-pub use crate::stream::{IngestError, StreamingLoader};
-
 /// One time point's outcome.
 #[derive(Clone, Debug)]
 pub struct TimePointResult {
@@ -60,7 +58,8 @@ impl Pipeline {
         })
     }
 
-    /// Processes every time point of a session.
+    /// Processes every time point of a session — the unsupervised
+    /// reference every executor role must reproduce bit for bit.
     ///
     /// Each solve after hour 0 starts from the previous recovered map
     /// *extrapolated* by the measured-impedance ratio: crossing `(i,j)`
@@ -70,49 +69,48 @@ impl Pipeline {
     /// lands far closer than the raw previous map when anomalies grow
     /// between time points.
     pub fn run(&self, dataset: &WetLabDataset) -> Result<Vec<TimePointResult>, ParmaError> {
-        self.run_supervised(dataset, &CancelToken::unbounded(), None)
+        self.run_session(
+            dataset,
+            &CancelToken::unbounded(),
+            None,
+            &PlanCache::new(),
+            None,
+            &mut SolveScratch::new(),
+        )
     }
 
-    /// Like [`Self::run`] but under a [`CancelToken`] plus an optional
-    /// per-solve budget: each time point's solve runs under a child token
-    /// clamped to both the session token's deadline and `solve_budget`.
-    /// A fired token surfaces as [`ParmaError::Timeout`] /
-    /// [`ParmaError::Cancelled`]; an uninterrupted run is bitwise
-    /// identical to [`Self::run`].
-    pub fn run_supervised(
-        &self,
-        dataset: &WetLabDataset,
-        token: &CancelToken,
-        solve_budget: Option<std::time::Duration>,
-    ) -> Result<Vec<TimePointResult>, ParmaError> {
-        // A transient unnamed cache: same plan reuse as before, without
-        // touching the service-level cache counters.
-        self.run_cached(dataset, token, solve_budget, &PlanCache::unnamed(), None)
+    /// This pipeline at supervisor escalation level `level`
+    /// ([`crate::supervisor::escalated`]; level 0 is `self`).
+    pub(crate) fn escalated(&self, level: usize) -> Pipeline {
+        Pipeline {
+            config: crate::supervisor::escalated(&self.config, level),
+            ..self.clone()
+        }
     }
 
-    /// Like [`Self::run_supervised`], but pulls [`SolvePlan`]s from a
-    /// shared cross-request [`PlanCache`] and optionally seeds hour 0
-    /// from a previous session's `(resistors, impedances)` pair — the
-    /// same ratio extrapolation used between in-session time points,
-    /// lifted across requests. A seed whose geometry does not match the
-    /// dataset is ignored (cold start). With a fresh cache and no seed
-    /// this is bitwise identical to [`Self::run`].
-    pub fn run_cached(
+    /// The session loop behind [`Self::run`] and the job executor
+    /// (`crate::batch::execute`). Each time point solves under a child of
+    /// `token` clamped to `solve_budget`; plans come from `plans`; hour 0
+    /// optionally starts from `warm_seed`, a previous session's
+    /// `(resistors, impedances)` pair transported by the same ratio
+    /// extrapolation (a seed of another geometry is ignored — cold start).
+    /// An uninterrupted run is bitwise identical to [`Self::run`] for any
+    /// cache state and scratch: neither carries data-dependent state.
+    pub(crate) fn run_session(
         &self,
         dataset: &WetLabDataset,
         token: &CancelToken,
         solve_budget: Option<std::time::Duration>,
         plans: &PlanCache,
         warm_seed: Option<(mea_model::ResistorGrid, mea_model::ZMatrix)>,
+        scratch: &mut SolveScratch,
     ) -> Result<Vec<TimePointResult>, ParmaError> {
         let _span = mea_obs::span("pipeline/run");
         let mut out: Vec<TimePointResult> = Vec::with_capacity(dataset.measurements.len());
-        let mut warm: Option<(mea_model::ResistorGrid, mea_model::ZMatrix)> = warm_seed;
-        // One plan and one scratch shared across the session's time points
-        // (they all use the same geometry); bitwise identical to fresh
-        // per-point solves, just without the rebuild cost.
+        let mut warm = warm_seed;
+        // One plan shared across the session's time points (they all use
+        // the same geometry).
         let mut plan: Option<Arc<SolvePlan>> = None;
-        let mut scratch = SolveScratch::new();
         for m in &dataset.measurements {
             let _tp = mea_obs::span("time_point");
             let solver = ParmaSolver::new(ParmaConfig {
@@ -123,20 +121,14 @@ impl Pipeline {
                 plan = Some(plans.get_or_analyze(m.z.grid()));
             }
             let plan_ref = plan.as_deref().expect("plan installed above");
-            let solve_token = token.child(solve_budget);
-            let solution = match &warm {
+            let init = match &warm {
                 Some((prev_r, prev_z)) if prev_r.grid() == m.z.grid() => {
-                    let init = ratio_extrapolate(prev_r, prev_z, &m.z);
-                    solver.solve_supervised(
-                        plan_ref,
-                        &m.z,
-                        Some(init),
-                        &mut scratch,
-                        &solve_token,
-                    )?
+                    Some(ratio_extrapolate(prev_r, prev_z, &m.z))
                 }
-                _ => solver.solve_supervised(plan_ref, &m.z, None, &mut scratch, &solve_token)?,
+                _ => None,
             };
+            let solve_token = token.child(solve_budget);
+            let solution = solver.solve_supervised(plan_ref, &m.z, init, scratch, &solve_token)?;
             let detection = {
                 let _d = mea_obs::span("detect");
                 detect_anomalies(&solution.resistors, self.detection_factor)
@@ -160,7 +152,9 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{execute, Job, Outcome};
     use crate::solver::ParmaSolver;
+    use crate::supervisor::{FailureKind, SupervisorConfig};
     use mea_model::{AnomalyConfig, MeaGrid};
 
     fn session(n: usize, seed: u64) -> WetLabDataset {
@@ -231,27 +225,54 @@ mod tests {
         );
     }
 
+    /// Runs one job through the executor on one thread.
+    fn execute_one(
+        pipeline: &Pipeline,
+        job: Job<'_>,
+        sup: &SupervisorConfig,
+        plans: &PlanCache,
+    ) -> Outcome {
+        execute(pipeline, &[job], 1, sup, plans, &|_, _| {})
+            .pop()
+            .unwrap()
+    }
+
+    fn no_retries() -> SupervisorConfig {
+        SupervisorConfig {
+            max_retries: 0,
+            ..Default::default()
+        }
+    }
+
+    fn assert_same_bits(a: &[TimePointResult], b: &[TimePointResult]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.solution.iterations, y.solution.iterations);
+            for (u, v) in x
+                .solution
+                .resistors
+                .as_slice()
+                .iter()
+                .zip(y.solution.resistors.as_slice())
+            {
+                assert_eq!(u.to_bits(), v.to_bits());
+            }
+        }
+    }
+
     #[test]
     fn supervised_run_matches_plain_run_bitwise() {
         let ds = session(6, 91);
         let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
         let plain = pipeline.run(&ds).unwrap();
-        let supervised = pipeline
-            .run_supervised(&ds, &CancelToken::unbounded(), None)
-            .unwrap();
-        assert_eq!(plain.len(), supervised.len());
-        for (a, b) in plain.iter().zip(&supervised) {
-            assert_eq!(a.solution.iterations, b.solution.iterations);
-            for (x, y) in a
-                .solution
-                .resistors
-                .as_slice()
-                .iter()
-                .zip(b.solution.resistors.as_slice())
-            {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        let supervised = execute_one(
+            &pipeline,
+            Job::loaded(0, &ds),
+            &SupervisorConfig::default(),
+            &PlanCache::new(),
+        )
+        .unwrap();
+        assert_same_bits(&plain, &supervised);
     }
 
     #[test]
@@ -259,31 +280,13 @@ mod tests {
         let ds = session(6, 91);
         let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
         let plain = pipeline.run(&ds).unwrap();
-        let cache = PlanCache::unnamed();
-        let token = CancelToken::unbounded();
-        let first = pipeline
-            .run_cached(&ds, &token, None, &cache, None)
-            .unwrap();
-        let second = pipeline
-            .run_cached(&ds, &token, None, &cache, None)
-            .unwrap();
+        let cache = PlanCache::new();
+        let first = execute_one(&pipeline, Job::loaded(0, &ds), &no_retries(), &cache).unwrap();
+        let second = execute_one(&pipeline, Job::loaded(1, &ds), &no_retries(), &cache).unwrap();
         // One analysis total: the first run misses, the second hits.
         assert_eq!(cache.stats(), (1, 1));
-        for variant in [&first, &second] {
-            assert_eq!(plain.len(), variant.len());
-            for (a, b) in plain.iter().zip(variant) {
-                assert_eq!(a.solution.iterations, b.solution.iterations);
-                for (x, y) in a
-                    .solution
-                    .resistors
-                    .as_slice()
-                    .iter()
-                    .zip(b.solution.resistors.as_slice())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+        assert_same_bits(&plain, &first);
+        assert_same_bits(&plain, &second);
     }
 
     #[test]
@@ -294,14 +297,15 @@ mod tests {
         // Seed with the exact hour-0 answer: the transported start is the
         // fixed point itself, so hour 0 must converge in strictly fewer
         // iterations than the cold solve.
-        let seed = (
-            cold[0].solution.resistors.clone(),
-            ds.measurements[0].z.clone(),
-        );
-        let cache = PlanCache::unnamed();
-        let warm = pipeline
-            .run_cached(&ds, &CancelToken::unbounded(), None, &cache, Some(seed))
-            .unwrap();
+        let seeded = Job {
+            warm: Some((
+                cold[0].solution.resistors.clone(),
+                ds.measurements[0].z.clone(),
+            )),
+            ..Job::loaded(0, &ds)
+        };
+        let cache = PlanCache::new();
+        let warm = execute_one(&pipeline, seeded, &no_retries(), &cache).unwrap();
         assert!(
             warm[0].solution.iterations < cold[0].solution.iterations,
             "seeded hour 0 must save iterations: {} vs {}",
@@ -310,13 +314,14 @@ mod tests {
         );
         // A seed of the wrong geometry silently cold-starts.
         let wrong_grid = MeaGrid::square(5);
-        let bogus = (
-            mea_model::CrossingMatrix::filled(wrong_grid, 1.0),
-            mea_model::CrossingMatrix::filled(wrong_grid, 1.0),
-        );
-        let ignored = pipeline
-            .run_cached(&ds, &CancelToken::unbounded(), None, &cache, Some(bogus))
-            .unwrap();
+        let bogus = Job {
+            warm: Some((
+                mea_model::CrossingMatrix::filled(wrong_grid, 1.0),
+                mea_model::CrossingMatrix::filled(wrong_grid, 1.0),
+            )),
+            ..Job::loaded(0, &ds)
+        };
+        let ignored = execute_one(&pipeline, bogus, &no_retries(), &cache).unwrap();
         assert_eq!(
             ignored[0].solution.iterations, cold[0].solution.iterations,
             "mismatched seed must behave exactly like a cold start"
@@ -327,20 +332,22 @@ mod tests {
     fn expired_session_deadline_stops_the_run() {
         let ds = session(6, 91);
         let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        assert!(matches!(
-            pipeline.run_supervised(&ds, &token, None),
-            Err(ParmaError::Timeout { .. })
-        ));
+        let timed_out = |sup: SupervisorConfig| {
+            let report =
+                execute_one(&pipeline, Job::loaded(0, &ds), &sup, &PlanCache::new()).unwrap_err();
+            report.kind == FailureKind::Timeout
+        };
+        assert!(timed_out(SupervisorConfig {
+            max_retries: 0,
+            batch_deadline: Some(std::time::Duration::ZERO),
+            ..Default::default()
+        }));
         // A zero per-solve budget also stops the run, via the child clamp.
-        assert!(matches!(
-            pipeline.run_supervised(
-                &ds,
-                &CancelToken::unbounded(),
-                Some(std::time::Duration::ZERO)
-            ),
-            Err(ParmaError::Timeout { .. })
-        ));
+        assert!(timed_out(SupervisorConfig {
+            max_retries: 0,
+            solve_deadline: Some(std::time::Duration::ZERO),
+            ..Default::default()
+        }));
     }
 
     #[test]

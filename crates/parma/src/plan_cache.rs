@@ -1,10 +1,10 @@
-//! Topology-keyed caching of symbolic solve structure.
+//! Topology-keyed caching of [`SolvePlan`]s.
 //!
-//! The expensive symbolic phase — building a [`SolvePlan`]'s work-item
-//! schedule, or a `JacobianTemplate`'s sparsity pattern — depends only on
-//! the device *geometry*, never on measured data. A long-lived process
-//! (`parma serve`) therefore analyzes each geometry once and reuses the
-//! result for every subsequent request of that shape.
+//! A plan's symbolic structure — the work-item schedule and κ — depends
+//! only on the device *geometry*, never on measured data. Every
+//! long-lived role therefore keeps one [`PlanCache`] for its lifetime
+//! (a batch run, a serve daemon, a worker process), analyzes each
+//! geometry once and reuses the plan for every later job of that shape.
 //!
 //! # Key invariants (DESIGN.md §16)
 //!
@@ -13,74 +13,53 @@
 //!   invariant — still have distinct row/column structure in the solve,
 //!   so they must **not** collide; keying on derived invariants (joint
 //!   count, β₁) would alias them.
-//! * A cached value is shared immutably ([`Arc`]); plans carry no
+//! * A cached plan is shared immutably ([`Arc`]); plans carry no
 //!   data-dependent state, so a cache hit is *bitwise* equivalent to a
 //!   fresh analysis (pinned by `plan_cache_properties` and the serve
 //!   end-to-end harness).
-//! * Hit/miss counts are observable both per-cache ([`TopologyCache::stats`])
-//!   and — for named caches — on the process-global registry as
-//!   `<name>.hits` / `<name>.misses`, which is how the end-to-end test
-//!   proves the second same-geometry request skipped symbolic analysis.
+//! * Hit/miss counts are observable both per cache ([`PlanCache::stats`])
+//!   and on the process-global registry as `parma.plan_cache.hits` /
+//!   `parma.plan_cache.misses`, which is how the end-to-end tests prove a
+//!   second same-geometry job skipped symbolic analysis.
 
 use crate::solver::SolvePlan;
 use mea_model::MeaGrid;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cache entries: the exact `(rows, cols)` key and the shared artifact.
-type Entries<T> = Vec<((usize, usize), Arc<T>)>;
+/// Cache entries: the exact `(rows, cols)` key and the shared plan.
+type Entries = Vec<((usize, usize), Arc<SolvePlan>)>;
 
-/// A geometry-keyed cache of immutable symbolic artifacts.
-pub struct TopologyCache<T> {
-    /// Counter prefix on the global registry; `None` keeps the cache
-    /// silent (used by transient per-run caches so they don't pollute
-    /// service-level counters).
-    name: Option<&'static str>,
-    entries: Mutex<Entries<T>>,
+/// A geometry-keyed cache of immutable [`SolvePlan`]s — "analyze once,
+/// solve every array of that geometry".
+#[derive(Default)]
+pub struct PlanCache {
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<T> TopologyCache<T> {
-    /// A cache that reports `<name>.hits` / `<name>.misses` on the
-    /// process-global registry.
-    pub fn named(name: &'static str) -> Self {
-        TopologyCache {
-            name: Some(name),
-            entries: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+impl PlanCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A cache with local statistics only.
-    pub fn unnamed() -> Self {
-        TopologyCache {
-            name: None,
-            entries: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the cached value for `grid`'s geometry, building it with
-    /// `build` on first sight. The build runs outside the cache lock —
-    /// symbolic analysis can take milliseconds and must not block
-    /// concurrent lookups of other geometries — so two racing first
-    /// requests may both build; the first to insert wins and both get the
-    /// winning [`Arc`] (the loser's build is dropped, keeping the
-    /// "one shared value per geometry" invariant).
-    pub fn get_or_build(&self, grid: MeaGrid, build: impl FnOnce(MeaGrid) -> T) -> Arc<T> {
+    /// The shared plan for `grid`'s geometry, analyzed on first request.
+    /// The analysis runs outside the cache lock — it can take
+    /// milliseconds and must not block concurrent lookups of other
+    /// geometries — so two racing first requests may both build; the
+    /// first to insert wins and both get the winning [`Arc`] (the loser's
+    /// build is dropped, keeping "one shared plan per geometry").
+    pub fn get_or_analyze(&self, grid: MeaGrid) -> Arc<SolvePlan> {
         let key = (grid.rows(), grid.cols());
         if let Some(found) = self.lookup(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(name) = self.name {
-                mea_obs::counter_add(&format!("{name}.hits"), 1);
-            }
+            mea_obs::counter_add("parma.plan_cache.hits", 1);
             return found;
         }
-        let built = Arc::new(build(grid));
-        let mut entries = self.entries.lock().expect("topology cache lock");
+        let built = Arc::new(SolvePlan::new(grid));
+        let mut entries = self.entries.lock().expect("plan cache lock");
         let value = match entries.iter().find(|(k, _)| *k == key) {
             Some((_, existing)) => Arc::clone(existing),
             None => {
@@ -90,16 +69,14 @@ impl<T> TopologyCache<T> {
         };
         drop(entries);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(name) = self.name {
-            mea_obs::counter_add(&format!("{name}.misses"), 1);
-        }
+        mea_obs::counter_add("parma.plan_cache.misses", 1);
         value
     }
 
-    fn lookup(&self, key: (usize, usize)) -> Option<Arc<T>> {
+    fn lookup(&self, key: (usize, usize)) -> Option<Arc<SolvePlan>> {
         self.entries
             .lock()
-            .expect("topology cache lock")
+            .expect("plan cache lock")
             .iter()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| Arc::clone(v))
@@ -115,23 +92,12 @@ impl<T> TopologyCache<T> {
 
     /// Number of distinct geometries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("topology cache lock").len()
+        self.entries.lock().expect("plan cache lock").len()
     }
 
     /// Whether the cache has seen no geometry yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The service's cache of [`SolvePlan`]s — "analyze once, serve every
-/// array of that geometry".
-pub type PlanCache = TopologyCache<SolvePlan>;
-
-impl PlanCache {
-    /// The shared plan for `grid`, analyzed on first request.
-    pub fn get_or_analyze(&self, grid: MeaGrid) -> Arc<SolvePlan> {
-        self.get_or_build(grid, SolvePlan::new)
     }
 }
 
@@ -141,7 +107,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted_per_geometry() {
-        let cache = PlanCache::unnamed();
+        let cache = PlanCache::new();
         let a = cache.get_or_analyze(MeaGrid::square(4));
         let b = cache.get_or_analyze(MeaGrid::square(4));
         let c = cache.get_or_analyze(MeaGrid::square(5));
@@ -153,7 +119,7 @@ mod tests {
 
     #[test]
     fn relabeling_equal_geometries_do_not_collide() {
-        let cache = PlanCache::unnamed();
+        let cache = PlanCache::new();
         let a = cache.get_or_analyze(MeaGrid::new(3, 4));
         let b = cache.get_or_analyze(MeaGrid::new(4, 3));
         assert!(!Arc::ptr_eq(&a, &b), "3×4 and 4×3 must cache separately");
@@ -164,7 +130,7 @@ mod tests {
 
     #[test]
     fn cached_plan_is_the_fresh_plan() {
-        let cache = PlanCache::unnamed();
+        let cache = PlanCache::new();
         let grid = MeaGrid::square(6);
         let cached = cache.get_or_analyze(grid);
         let fresh = SolvePlan::new(grid);

@@ -5,10 +5,11 @@
 //! [`SessionStore`] (warm-start each timepoint from the previous
 //! solution).
 //!
-//! Every job runs under the PR 4 supervisor: panics are isolated,
-//! retryable failures get their backoff/escalation ladder, and exhausted
-//! items surface as classified [`FailureReport`]s rather than taking the
-//! daemon down. Admission control is a bounded queue; a full queue or a
+//! Every job runs through the job executor ([`crate::batch::execute`]) as
+//! a one-job batch, under the supervisor: panics are isolated, retryable
+//! failures get their backoff/escalation ladder, and exhausted items
+//! surface as classified [`FailureReport`]s rather than taking the daemon
+//! down. Admission control is a bounded queue; a full queue or a
 //! draining service rejects *at submit time* with an [`AdmissionError`]
 //! mapped onto the supervisor's failure taxonomy (retryable → HTTP 429,
 //! terminal → 503 at the CLI layer).
@@ -21,14 +22,14 @@
 //! session changes only the iteration count. Both halves are pinned by
 //! the serve end-to-end harness.
 
+use crate::batch::{execute, Job};
 use crate::config::ParmaConfig;
 use crate::error::ParmaError;
 use crate::pipeline::{Pipeline, TimePointResult};
 use crate::plan_cache::PlanCache;
 use crate::session::SessionStore;
-use crate::supervisor::{supervise, FailureKind, FailureReport, SupervisorConfig};
+use crate::supervisor::{FailureKind, FailureReport, SupervisorConfig};
 use mea_model::WetLabDataset;
-use mea_parallel::WorkStealingPool;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -165,7 +166,9 @@ struct JobRecord {
     state: JobState,
 }
 
-type DoneHook = dyn Fn(u64, &Result<Vec<TimePointResult>, FailureReport>) + Send + Sync;
+/// Fires exactly once per decided job (success or quarantine), as soon
+/// as its fate is known — the CLI journals (and fsyncs) from it.
+pub type DoneHook = dyn Fn(u64, &Result<Vec<TimePointResult>, FailureReport>) + Send + Sync;
 
 /// Optional remote-execution seam: given a job and its dataset, either
 /// solve it elsewhere (`Some(result)`) or decline (`None`) — in which
@@ -177,6 +180,7 @@ pub type OffloadHook = dyn Fn(u64, &WetLabDataset) -> Option<Result<Vec<TimePoin
 
 struct Inner {
     cfg: ServiceConfig,
+    pipeline: Pipeline,
     queue: Mutex<VecDeque<u64>>,
     available: Condvar,
     jobs: Mutex<HashMap<u64, JobRecord>>,
@@ -199,33 +203,19 @@ pub struct SolveService {
 }
 
 impl SolveService {
-    /// Validates `cfg` and starts the worker pool.
-    pub fn start(cfg: ServiceConfig) -> Result<SolveService, ParmaError> {
-        Self::start_with_hook(cfg, None)
-    }
-
-    /// Like [`Self::start`] with an `on_done` hook that fires exactly
-    /// once per decided job (success or quarantine), as soon as its fate
-    /// is known — the CLI journals (and fsyncs) from it.
-    pub fn start_with_hook(
-        cfg: ServiceConfig,
-        on_done: Option<Box<DoneHook>>,
-    ) -> Result<SolveService, ParmaError> {
-        Self::start_with_hooks(cfg, on_done, None)
-    }
-
-    /// Like [`Self::start_with_hook`] with a remote-execution seam:
-    /// session-less jobs are offered to `offload` first (device-session
-    /// jobs never are — warm-start state lives in this process and must
-    /// not be split across machines). An offloader that declines, or is
-    /// absent, leaves the job on the in-process path.
-    pub fn start_with_hooks(
+    /// Validates `cfg` and starts the worker pool. `on_done` sees every
+    /// decided job ([`DoneHook`]). Session-less jobs are offered to
+    /// `offload` first (device-session jobs never are — warm-start state
+    /// lives in this process and must not be split across machines); an
+    /// offloader that declines, or is absent, leaves the job on the
+    /// in-process path.
+    pub fn start(
         cfg: ServiceConfig,
         on_done: Option<Box<DoneHook>>,
         offload: Option<Box<OffloadHook>>,
     ) -> Result<SolveService, ParmaError> {
         // Surface bad numeric configuration now, not on the first job.
-        Pipeline::new(cfg.solver, cfg.detection_factor)?;
+        let pipeline = Pipeline::new(cfg.solver, cfg.detection_factor)?;
         if cfg.workers == 0 {
             return Err(ParmaError::InvalidConfig("service needs ≥ 1 worker".into()));
         }
@@ -237,12 +227,13 @@ impl SolveService {
         let workers = cfg.workers;
         let inner = Arc::new(Inner {
             cfg,
+            pipeline,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             stopping: AtomicBool::new(false),
-            plans: PlanCache::named("parma.plan_cache"),
+            plans: PlanCache::new(),
             sessions: SessionStore::new(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -378,10 +369,6 @@ impl Drop for SolveService {
 }
 
 fn worker_loop(inner: &Inner) {
-    // One single-slot pool per worker: `supervise` runs each job through
-    // it for panic isolation and the retry/escalation ladder; parallelism
-    // across jobs comes from the worker threads themselves.
-    let pool = WorkStealingPool::new(1);
     loop {
         let id = {
             let mut queue = inner.queue.lock().expect("service queue lock");
@@ -402,11 +389,11 @@ fn worker_loop(inner: &Inner) {
         let Some(id) = id else {
             return;
         };
-        run_job(inner, &pool, id);
+        run_job(inner, id);
     }
 }
 
-fn run_job(inner: &Inner, pool: &WorkStealingPool, id: u64) {
+fn run_job(inner: &Inner, id: u64) {
     let t0 = Instant::now();
     let (dataset, session) = {
         let mut jobs = inner.jobs.lock().expect("service job table lock");
@@ -424,7 +411,7 @@ fn run_job(inner: &Inner, pool: &WorkStealingPool, id: u64) {
         std::thread::sleep(hold);
     }
     // Session-less jobs may run on a remote worker; the solve there is
-    // the same supervised pipeline, so the result bits are identical.
+    // the executor over one job, so the result bits are identical.
     // A declined offload (no workers, worker died, undecodable reply)
     // falls through to the in-process path below.
     let offloaded = if session.is_none() {
@@ -432,34 +419,23 @@ fn run_job(inner: &Inner, pool: &WorkStealingPool, id: u64) {
     } else {
         None
     };
-    let mut outcome = match offloaded {
+    let outcome = match offloaded {
         Some(result) => result,
         None => {
-            let warm = session
-                .as_deref()
-                .and_then(|sid| inner.sessions.warm_pair(sid, dataset.grid));
-            let sup = inner.cfg.supervisor;
-            let attempt = |_item: usize, escalation: usize, token: &mea_parallel::CancelToken| {
-                let config = crate::supervisor::escalated(&inner.cfg.solver, escalation);
-                let pipeline = Pipeline::new(config, inner.cfg.detection_factor)?;
-                pipeline.run_cached(
-                    &dataset,
-                    token,
-                    sup.solve_deadline,
-                    &inner.plans,
-                    warm.clone(),
-                )
+            // A one-job batch: parallelism across jobs comes from the
+            // service's worker threads themselves.
+            let job = Job {
+                warm: session
+                    .as_deref()
+                    .and_then(|sid| inner.sessions.warm_pair(sid, dataset.grid)),
+                ..Job::loaded(id as usize, &dataset)
             };
-            supervise(pool, 1, &sup, &attempt, &|_, _| {})
+            let sup = &inner.cfg.supervisor;
+            execute(&inner.pipeline, &[job], 1, sup, &inner.plans, &|_, _| {})
                 .pop()
-                .expect("one supervised item yields one outcome")
+                .expect("one job yields one outcome")
         }
     };
-    if let Err(report) = &mut outcome {
-        // The supervisor numbers items within its (single-item) batch;
-        // re-key the report to the service-wide job id.
-        report.item = id as usize;
-    }
     let result = match outcome {
         Ok(time_points) => {
             if let (Some(sid), Some(last_tp), Some(last_m)) = (
@@ -535,7 +511,7 @@ mod tests {
 
     #[test]
     fn jobs_complete_and_match_the_direct_pipeline_bitwise() {
-        let service = SolveService::start(ServiceConfig::default()).unwrap();
+        let service = SolveService::start(ServiceConfig::default(), None, None).unwrap();
         let ds = session_data(6, 2024);
         let direct = Pipeline::new(ParmaConfig::default(), 1.5)
             .unwrap()
@@ -564,7 +540,7 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_the_second_same_geometry_job() {
-        let service = SolveService::start(ServiceConfig::default()).unwrap();
+        let service = SolveService::start(ServiceConfig::default(), None, None).unwrap();
         let a = service.submit(session_data(5, 1), None).unwrap();
         wait_done(&service, a);
         let (_, misses_after_first) = service.plan_stats();
@@ -582,7 +558,7 @@ mod tests {
 
     #[test]
     fn session_warm_start_saves_iterations_across_requests() {
-        let service = SolveService::start(ServiceConfig::default()).unwrap();
+        let service = SolveService::start(ServiceConfig::default(), None, None).unwrap();
         let points = split_session(&session_data(8, 55));
         let mut cold_total = 0usize;
         let mut warm_total = 0usize;
@@ -612,12 +588,16 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_retryable_backpressure() {
-        let service = SolveService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 1,
-            hold: Some(Duration::from_millis(300)),
-            ..Default::default()
-        })
+        let service = SolveService::start(
+            ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                hold: Some(Duration::from_millis(300)),
+                ..Default::default()
+            },
+            None,
+            None,
+        )
         .unwrap();
         let mut admitted = Vec::new();
         let mut rejected = 0usize;
@@ -645,11 +625,15 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_and_rejects_new_ones() {
-        let service = SolveService::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            ..Default::default()
-        })
+        let service = SolveService::start(
+            ServiceConfig {
+                workers: 1,
+                queue_capacity: 16,
+                ..Default::default()
+            },
+            None,
+            None,
+        )
         .unwrap();
         let ids: Vec<u64> = (0..4u64)
             .map(|seed| service.submit(session_data(4, seed), None).unwrap())
@@ -671,7 +655,7 @@ mod tests {
     fn hook_fires_once_per_decided_job_and_failures_quarantine() {
         let fired: Arc<Mutex<Vec<(u64, bool)>>> = Arc::new(Mutex::new(Vec::new()));
         let hook_log = Arc::clone(&fired);
-        let service = SolveService::start_with_hook(
+        let service = SolveService::start(
             ServiceConfig {
                 supervisor: SupervisorConfig {
                     max_retries: 1,
@@ -684,6 +668,7 @@ mod tests {
             Some(Box::new(move |id, result| {
                 hook_log.lock().unwrap().push((id, result.is_ok()));
             })),
+            None,
         )
         .unwrap();
         let id = service.submit(session_data(6, 3), None).unwrap();
@@ -700,26 +685,38 @@ mod tests {
 
     #[test]
     fn invalid_configuration_is_rejected_at_start() {
-        assert!(SolveService::start(ServiceConfig {
-            workers: 0,
-            ..Default::default()
-        })
+        assert!(SolveService::start(
+            ServiceConfig {
+                workers: 0,
+                ..Default::default()
+            },
+            None,
+            None,
+        )
         .is_err());
-        assert!(SolveService::start(ServiceConfig {
-            queue_capacity: 0,
-            ..Default::default()
-        })
+        assert!(SolveService::start(
+            ServiceConfig {
+                queue_capacity: 0,
+                ..Default::default()
+            },
+            None,
+            None,
+        )
         .is_err());
-        assert!(SolveService::start(ServiceConfig {
-            detection_factor: 0.5,
-            ..Default::default()
-        })
+        assert!(SolveService::start(
+            ServiceConfig {
+                detection_factor: 0.5,
+                ..Default::default()
+            },
+            None,
+            None,
+        )
         .is_err());
     }
 
     #[test]
     fn unknown_job_ids_are_none() {
-        let service = SolveService::start(ServiceConfig::default()).unwrap();
+        let service = SolveService::start(ServiceConfig::default(), None, None).unwrap();
         assert!(service.job(999).is_none());
         service.shutdown();
     }

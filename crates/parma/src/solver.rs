@@ -40,7 +40,7 @@
 
 use crate::config::ParmaConfig;
 use crate::error::ParmaError;
-use mea_linalg::{FactorPath, LinalgError, Parallelism, Sequential};
+use mea_linalg::{LinalgError, Parallelism, Sequential};
 use mea_model::{ForwardSolver, ForwardWorkspace, MeaGrid, ResistorGrid, ZMatrix};
 use mea_obs::events::{emit as emit_event, EventKind};
 use mea_obs::hist::Hist;
@@ -161,10 +161,10 @@ impl SolvePlan {
 /// the sweep's update buffer.
 ///
 /// Carries no data-dependent state between solves — results through
-/// [`ParmaSolver::solve_with_scratch`] are bitwise identical to the other
-/// entry points — it only amortizes allocations. Batch drivers keep one
-/// per worker thread; with it, the steady-state sweep iteration performs
-/// no heap allocation at all.
+/// [`ParmaSolver::solve_supervised`] are bitwise identical to
+/// [`ParmaSolver::solve`] — it only amortizes allocations. The job
+/// executor keeps one per pool worker; with it, the steady-state sweep
+/// iteration performs no heap allocation at all.
 pub struct SolveScratch {
     forward: Option<ForwardSolver>,
     ws: ForwardWorkspace,
@@ -206,17 +206,6 @@ impl SolveScratch {
             self.pool = (threads > 1).then(|| WorkStealingPool::new(threads));
         }
     }
-
-    /// The configured intra-solve width.
-    pub fn intra_threads(&self) -> usize {
-        self.intra
-    }
-
-    /// Overrides the factorization dispatch of the embedded workspace
-    /// (tests pin the structured path on small grids through this).
-    pub fn set_factor_path(&mut self, path: FactorPath) {
-        self.ws.set_factor_path(path);
-    }
 }
 
 impl Default for SolveScratch {
@@ -239,65 +228,33 @@ impl ParmaSolver {
         ParmaSolver { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ParmaConfig {
-        &self.config
-    }
-
     /// Recovers the resistor map behind a measured impedance matrix.
     ///
     /// The initial iterate scales each measured `Z_ij` by the uniform-mode
     /// factor `κ = mn/(m+n−1)` (for a uniform map, `Z = R/κ` exactly), so
     /// the slowest-converging mode starts already solved.
     pub fn solve(&self, z: &ZMatrix) -> Result<ParmaSolution, ParmaError> {
-        self.solve_with_plan(&SolvePlan::new(z.grid()), z, None)
+        self.solve_supervised(
+            &SolvePlan::new(z.grid()),
+            z,
+            None,
+            &mut SolveScratch::new(),
+            &CancelToken::unbounded(),
+        )
     }
 
-    /// Like [`Self::solve`] but starting from an explicit initial map
-    /// (e.g. the previous time point's solution — warm starts across the
-    /// wet lab's 0/6/12/24-hour series).
-    pub fn solve_from(
-        &self,
-        z: &ZMatrix,
-        initial: ResistorGrid,
-    ) -> Result<ParmaSolution, ParmaError> {
-        self.solve_with_plan(&SolvePlan::new(z.grid()), z, Some(initial))
-    }
-
-    /// The workhorse: solves against a prebuilt per-topology [`SolvePlan`],
-    /// optionally from an explicit initial map (defaulting to the
-    /// uniform-mode seed `κ·Z`). The plan carries no data-dependent state,
-    /// so the result is bitwise identical to [`Self::solve`] /
-    /// [`Self::solve_from`] — those delegate here with a fresh plan.
-    pub fn solve_with_plan(
-        &self,
-        plan: &SolvePlan,
-        z: &ZMatrix,
-        initial: Option<ResistorGrid>,
-    ) -> Result<ParmaSolution, ParmaError> {
-        self.solve_with_scratch(plan, z, initial, &mut SolveScratch::new())
-    }
-
-    /// Like [`Self::solve_with_plan`] but reusing caller-owned
-    /// [`SolveScratch`] across solves, so repeated solves (batch engines,
-    /// time series) pay no per-iteration allocation. Bitwise identical to
-    /// the other entry points.
-    pub fn solve_with_scratch(
-        &self,
-        plan: &SolvePlan,
-        z: &ZMatrix,
-        initial: Option<ResistorGrid>,
-        scratch: &mut SolveScratch,
-    ) -> Result<ParmaSolution, ParmaError> {
-        self.solve_supervised(plan, z, initial, scratch, &CancelToken::unbounded())
-    }
-
-    /// Like [`Self::solve_with_scratch`] but under a [`CancelToken`]: the
-    /// token is polled once per outer iteration (never inside the
-    /// floating-point work, so an uninterrupted supervised solve stays
-    /// bitwise identical to the plain entry points) and a fired token
-    /// surfaces as [`ParmaError::Timeout`] — carrying the partial iterate —
-    /// or [`ParmaError::Cancelled`].
+    /// The workhorse behind [`Self::solve`] and every batch, serve and
+    /// worker solve: solves against a prebuilt per-topology [`SolvePlan`],
+    /// optionally from an explicit initial map (e.g. the previous time
+    /// point's solution, defaulting to the uniform-mode seed `κ·Z`),
+    /// reusing caller-owned [`SolveScratch`] so repeated solves pay no
+    /// per-iteration allocation, under a [`CancelToken`]. Plan and
+    /// scratch carry no data-dependent state, so the result is bitwise
+    /// identical to [`Self::solve`]. The token is polled once per outer
+    /// iteration (never inside the floating-point work, so an
+    /// uninterrupted solve keeps the same bits) and a fired token
+    /// surfaces as [`ParmaError::Timeout`] — carrying the partial iterate
+    /// — or [`ParmaError::Cancelled`].
     pub fn solve_supervised(
         &self,
         plan: &SolvePlan,
@@ -735,7 +692,7 @@ fn sweep_into(
     // Damping: optimal for the uniform-map spectrum [λ_min, κ], times the
     // user multiplier, times the adaptive safeguard factor the outer loop
     // maintains (degenerate maps — e.g. a dead wire — couple more strongly
-    // than κ and need extra damping; see `solve_from`).
+    // than κ and need extra damping; see `ParmaSolver::solve_supervised`).
     let alpha = shrink * config.damping * 2.0 / (1.0 + coupling_bound(grid));
     let update = |w: &WorkItem| {
         let (i, j) = (w.id / grid.cols(), w.id % grid.cols());
@@ -793,6 +750,22 @@ mod tests {
     use super::*;
     use mea_model::{AnomalyConfig, CrossingMatrix};
     use mea_parallel::Strategy;
+
+    /// One unbounded solve against `plan` from `initial`, on fresh scratch.
+    fn solve_with(
+        solver: &ParmaSolver,
+        plan: &SolvePlan,
+        z: &ZMatrix,
+        initial: Option<ResistorGrid>,
+    ) -> Result<ParmaSolution, ParmaError> {
+        solver.solve_supervised(
+            plan,
+            z,
+            initial,
+            &mut SolveScratch::new(),
+            &CancelToken::unbounded(),
+        )
+    }
 
     fn roundtrip(n: usize, seed: u64, config: ParmaConfig) -> (ResistorGrid, ParmaSolution) {
         let grid = MeaGrid::square(n);
@@ -862,7 +835,7 @@ mod tests {
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let solver = ParmaSolver::new(ParmaConfig::default());
         let cold = solver.solve(&z).unwrap();
-        let warm = solver.solve_from(&z, truth.clone()).unwrap();
+        let warm = solve_with(&solver, &SolvePlan::new(grid), &z, Some(truth.clone())).unwrap();
         assert!(warm.iterations <= cold.iterations);
         assert_eq!(warm.iterations, 0, "exact start must exit immediately");
     }
@@ -914,9 +887,8 @@ mod tests {
     fn rejects_mismatched_initial_map() {
         let z = CrossingMatrix::filled(MeaGrid::square(3), 1000.0);
         let init = CrossingMatrix::filled(MeaGrid::square(4), 1000.0);
-        let err = ParmaSolver::new(ParmaConfig::default())
-            .solve_from(&z, init)
-            .unwrap_err();
+        let solver = ParmaSolver::new(ParmaConfig::default());
+        let err = solve_with(&solver, &SolvePlan::new(z.grid()), &z, Some(init)).unwrap_err();
         assert!(matches!(err, ParmaError::InvalidMeasurement(_)));
     }
 
@@ -958,7 +930,7 @@ mod tests {
             let (truth, _) = AnomalyConfig::default().generate(grid, seed);
             let z = ForwardSolver::new(&truth).unwrap().solve_all();
             let fresh = solver.solve(&z).unwrap();
-            let planned = solver.solve_with_plan(&plan, &z, None).unwrap();
+            let planned = solve_with(&solver, &plan, &z, None).unwrap();
             assert_eq!(fresh.iterations, planned.iterations);
             assert_eq!(fresh.history.len(), planned.history.len());
             for (a, b) in fresh
@@ -976,9 +948,8 @@ mod tests {
     fn plan_geometry_mismatch_is_rejected() {
         let plan = SolvePlan::new(MeaGrid::square(4));
         let z = CrossingMatrix::filled(MeaGrid::square(3), 1000.0);
-        let err = ParmaSolver::new(ParmaConfig::default())
-            .solve_with_plan(&plan, &z, None)
-            .unwrap_err();
+        let err =
+            solve_with(&ParmaSolver::new(ParmaConfig::default()), &plan, &z, None).unwrap_err();
         assert!(matches!(err, ParmaError::InvalidMeasurement(_)));
     }
 
@@ -1011,9 +982,9 @@ mod tests {
             let plan = SolvePlan::new(grid);
             let (truth, _) = AnomalyConfig::default().generate(grid, seed);
             let z = ForwardSolver::new(&truth).unwrap().solve_all();
-            let fresh = solver.solve_with_plan(&plan, &z, None).unwrap();
+            let fresh = solve_with(&solver, &plan, &z, None).unwrap();
             let reused = solver
-                .solve_with_scratch(&plan, &z, None, &mut scratch)
+                .solve_supervised(&plan, &z, None, &mut scratch, &CancelToken::unbounded())
                 .unwrap();
             assert_eq!(fresh.iterations, reused.iterations);
             for (a, b) in fresh
@@ -1034,7 +1005,7 @@ mod tests {
         let (truth, _) = AnomalyConfig::default().generate(grid, 11);
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let solver = ParmaSolver::new(ParmaConfig::default());
-        let plain = solver.solve_with_plan(&plan, &z, None).unwrap();
+        let plain = solver.solve(&z).unwrap();
         let supervised = solver
             .solve_supervised(
                 &plan,

@@ -282,20 +282,23 @@ pub mod chaos {
 /// the pool, classify failures, retry the retryable ones (with backoff)
 /// until `max_retries` is exhausted, quarantine the rest.
 ///
-/// `attempt_fn(item, escalation, token)` performs one attempt;
-/// `escalation` counts prior divergence/timeout failures of that item
-/// (panic retries keep it at 0 so their bits match a clean run).
-/// `on_done` fires exactly once per item — success or quarantine — as
-/// soon as its fate is decided, which is what lets the CLI journal (and
-/// fsync) incrementally.
+/// Item `k` is known to the outside world as `ids[k]`: chaos draws,
+/// flight-recorder events and [`FailureReport::item`] use the id.
+/// `attempt_fn(k, escalation, token)` performs one attempt; `escalation`
+/// counts prior divergence/timeout failures of that item (panic retries
+/// keep it at 0 so their bits match a clean run). `on_done(k, outcome)`
+/// fires exactly once per item — success or quarantine — as soon as its
+/// fate is decided, which is what lets the CLI journal (and fsync)
+/// incrementally.
 #[allow(clippy::type_complexity)]
 pub(crate) fn supervise<T: Send>(
     pool: &mea_parallel::WorkStealingPool,
-    n: usize,
+    ids: &[usize],
     sup: &SupervisorConfig,
     attempt_fn: &(dyn Fn(usize, usize, &CancelToken) -> Result<T, ParmaError> + Sync),
     on_done: &(dyn Fn(usize, &Result<T, FailureReport>) + Sync),
 ) -> Vec<Result<T, FailureReport>> {
+    let n = ids.len();
     let batch_token = match sup.batch_deadline {
         Some(budget) => CancelToken::with_deadline(budget),
         None => CancelToken::unbounded(),
@@ -326,13 +329,14 @@ pub(crate) fn supervise<T: Send>(
         let round = std::mem::take(&mut pending);
         let outcome = pool.run(round.len(), |k| {
             let (item, escalation) = round[k];
-            let _item_scope = mea_obs::events::item_scope(item as u64);
-            chaos::maybe_panic(item, attempt);
+            let _item_scope = mea_obs::events::item_scope(ids[item] as u64);
+            chaos::maybe_panic(ids[item], attempt);
             attempt_fn(item, escalation, &batch_token.child(sup.solve_deadline))
         });
         let mut panics = outcome.panics.into_iter().peekable();
         for (k, slot) in outcome.results.into_iter().enumerate() {
             let (item, escalation) = round[k];
+            let id = ids[item] as u64;
             let failure: (FailureKind, String) = match slot {
                 Some(Ok(value)) => {
                     ITEM_ATTEMPTS.record((attempt_log[item].len() + 1) as f64);
@@ -346,7 +350,7 @@ pub(crate) fn supervise<T: Send>(
                     let p = panics
                         .next_if(|p| p.index == k)
                         .expect("a poisoned slot has its panic record");
-                    mea_obs::events::emit_for(EventKind::Panic, item as u64, attempt as u64, 0.0);
+                    mea_obs::events::emit_for(EventKind::Panic, id, attempt as u64, 0.0);
                     (FailureKind::Panic, p.message)
                 }
             };
@@ -364,24 +368,19 @@ pub(crate) fn supervise<T: Send>(
                 } else {
                     escalation + 1
                 };
-                mea_obs::events::emit_for(EventKind::Retry, item as u64, attempt as u64 + 1, 0.0);
+                mea_obs::events::emit_for(EventKind::Retry, id, attempt as u64 + 1, 0.0);
                 pending.push((item, next));
             } else {
                 let attempts = std::mem::take(&mut attempt_log[item]);
                 ITEM_ATTEMPTS.record(attempts.len() as f64);
                 mea_obs::counter_add("parma.batch.quarantined", 1);
-                mea_obs::events::emit_for(
-                    EventKind::Quarantine,
-                    item as u64,
-                    attempts.len() as u64,
-                    0.0,
-                );
+                mea_obs::events::emit_for(EventKind::Quarantine, id, attempts.len() as u64, 0.0);
                 let report = FailureReport {
-                    item,
+                    item: ids[item],
                     kind,
                     detail,
                     attempts,
-                    events: mea_obs::events::recent_events_for_item(item as u64, EMBED_EVENTS),
+                    events: mea_obs::events::recent_events_for_item(id, EMBED_EVENTS),
                 };
                 let done = Err(report);
                 on_done(item, &done);
@@ -408,7 +407,7 @@ mod tests {
         let pool = WorkStealingPool::new(2);
         let out = supervise(
             &pool,
-            5,
+            &[0, 1, 2, 3, 4],
             &SupervisorConfig::default(),
             &|item, esc, _token| {
                 assert_eq!(esc, 0, "clean items never escalate");
@@ -432,7 +431,7 @@ mod tests {
         };
         let out: Vec<Result<usize, FailureReport>> = supervise(
             &pool,
-            1,
+            &[0],
             &sup,
             &|_item, esc, _token| -> Result<usize, ParmaError> {
                 seen.lock().unwrap().push(esc);
@@ -463,7 +462,7 @@ mod tests {
         };
         let out = supervise(
             &pool,
-            1,
+            &[0],
             &sup,
             &|item, esc, _token| {
                 if calls.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -484,7 +483,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let out: Vec<Result<(), FailureReport>> = supervise(
             &pool,
-            1,
+            &[0],
             &SupervisorConfig {
                 max_retries: 5,
                 backoff: Duration::ZERO,
@@ -508,7 +507,7 @@ mod tests {
         let fired: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
         let _ = supervise(
             &pool,
-            6,
+            &[0, 1, 2, 3, 4, 5],
             &SupervisorConfig {
                 max_retries: 1,
                 backoff: Duration::ZERO,
@@ -549,7 +548,7 @@ mod tests {
         };
         let out: Vec<Result<usize, FailureReport>> = supervise(
             &pool,
-            3,
+            &[0, 1, 2],
             &sup,
             &|item, _, token| match token.check() {
                 Some(mea_parallel::Interrupt::TimedOut) => Err(ParmaError::Timeout {

@@ -1,6 +1,6 @@
 //! Pins the tentpole allocation guarantee: with a reusable
 //! [`SolveScratch`], the steady-state sweep iteration of
-//! [`ParmaSolver::solve_with_scratch`] performs **zero** heap
+//! [`ParmaSolver::solve_supervised`] performs **zero** heap
 //! allocations. Verified with the tracking global allocator: two solves
 //! of the same problem that differ only in iteration budget must allocate
 //! exactly the same number of times — every per-solve allocation is
@@ -8,6 +8,7 @@
 //! show up as a difference.
 
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid};
+use parma::prelude::CancelToken;
 use parma::{ParmaConfig, ParmaSolver, SolvePlan, SolveScratch};
 
 #[global_allocator]
@@ -19,6 +20,7 @@ fn steady_state_iteration_allocates_nothing() {
     let (truth, _) = AnomalyConfig::default().generate(grid, 17);
     let z = ForwardSolver::new(&truth).unwrap().solve_all();
     let plan = SolvePlan::new(grid);
+    let token = CancelToken::unbounded();
 
     // Unreachable tolerance + recovery off: both runs exhaust their
     // budget, so iteration counts are exactly max_iter.
@@ -30,7 +32,7 @@ fn steady_state_iteration_allocates_nothing() {
             ..Default::default()
         });
         let err = solver
-            .solve_with_scratch(&plan, &z, None, scratch)
+            .solve_supervised(&plan, &z, None, scratch, &token)
             .unwrap_err();
         let count = mea_memtrack::allocation_count();
         drop(err);

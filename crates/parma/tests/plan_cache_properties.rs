@@ -8,10 +8,10 @@
 //! job B the plan built for job A cannot change a single bit of B's solve.
 
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid};
-use parma::plan_cache::{PlanCache, TopologyCache};
-use parma::solver::SolvePlan;
-use parma::ParmaConfig;
-use parma::ParmaSolver;
+use parma::plan_cache::PlanCache;
+use parma::prelude::CancelToken;
+use parma::solver::{SolvePlan, SolveScratch};
+use parma::{ParmaConfig, ParmaSolver};
 use std::sync::Arc;
 
 proptest::proptest! {
@@ -25,7 +25,7 @@ proptest::proptest! {
         rows in 1usize..8,
         cols in 1usize..8,
     ) {
-        let cache = PlanCache::unnamed();
+        let cache = PlanCache::new();
         let grid = MeaGrid::new(rows, cols);
         let fresh = SolvePlan::new(grid);
         let cached = cache.get_or_analyze(grid);
@@ -47,7 +47,7 @@ proptest::proptest! {
         r2 in 1usize..8,
         c2 in 1usize..8,
     ) {
-        let cache = PlanCache::unnamed();
+        let cache = PlanCache::new();
         let a = cache.get_or_analyze(MeaGrid::new(r1, c1));
         let b = cache.get_or_analyze(MeaGrid::new(r2, c2));
         if (r1, c1) == (r2, c2) {
@@ -64,7 +64,7 @@ proptest::proptest! {
         proptest::prop_assert_eq!(hits + misses, 2);
     }
 
-    /// The generic cache hands racing builders a single winner: whatever
+    /// The cache hands racing builders a single winner: whatever
     /// interleaving, all callers observe one allocation per key and the
     /// ledger stays consistent.
     #[test]
@@ -73,13 +73,13 @@ proptest::proptest! {
         cols in 2usize..6,
         threads in 2usize..6,
     ) {
-        let cache: Arc<TopologyCache<SolvePlan>> = Arc::new(TopologyCache::unnamed());
+        let cache = Arc::new(PlanCache::new());
         let grid = MeaGrid::new(rows, cols);
         let plans: Vec<Arc<SolvePlan>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
-                    scope.spawn(move || cache.get_or_build(grid, SolvePlan::new))
+                    scope.spawn(move || cache.get_or_analyze(grid))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -106,16 +106,20 @@ fn cached_plan_solve_is_bitwise_identical_to_fresh() {
     let (truth, _) = AnomalyConfig::default().generate(grid, 77);
     let z = ForwardSolver::new(&truth).unwrap().solve_all();
 
-    let cache = PlanCache::unnamed();
+    let cache = PlanCache::new();
     cache.get_or_analyze(grid); // prime: the solve below takes the hit path
     let shared = cache.get_or_analyze(grid);
     assert_eq!(cache.stats(), (1, 1));
 
     let solver = ParmaSolver::new(ParmaConfig::default());
-    let via_cache = solver.solve_with_plan(&shared, &z, None).unwrap();
-    let via_fresh = solver
-        .solve_with_plan(&SolvePlan::new(grid), &z, None)
-        .unwrap();
+    let solve = |plan: &SolvePlan| {
+        let mut scratch = SolveScratch::new();
+        solver
+            .solve_supervised(plan, &z, None, &mut scratch, &CancelToken::unbounded())
+            .unwrap()
+    };
+    let via_cache = solve(&shared);
+    let via_fresh = solve(&SolvePlan::new(grid));
     assert_eq!(via_cache.iterations, via_fresh.iterations);
     assert_eq!(
         via_cache.residual.to_bits(),

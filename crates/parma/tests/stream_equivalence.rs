@@ -1,11 +1,11 @@
 //! The streaming pipeline's determinism contract, pinned from outside
-//! the crate: a batch solved through `run_streamed_supervised` — mixed
+//! the crate: a batch of file jobs solved through the executor — mixed
 //! text and `parma-bin/v1` files, prefetched and help-loaded in whatever
 //! order the pool dictates — is bitwise identical to preloading every
 //! dataset and solving in memory, run after run.
 
 use parma::prelude::*;
-use parma::StreamingLoader;
+use parma::{execute, Job, StreamingLoader};
 use std::path::PathBuf;
 
 fn write_mixed_sessions(dir: &std::path::Path, count: u64) -> (Vec<PathBuf>, Vec<WetLabDataset>) {
@@ -41,24 +41,33 @@ fn result_bits(out: &[Result<Vec<TimePointResult>, FailureReport>]) -> Vec<u64> 
 fn streamed_solves_are_bitwise_identical_to_preloaded_solves() {
     let dir = std::env::temp_dir().join("parma-stream-equivalence");
     let (paths, datasets) = write_mixed_sessions(&dir, 8);
-    let batch = BatchSolver::new(ParmaConfig::default(), 3).unwrap();
+    let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
     let sup = SupervisorConfig {
         max_retries: 0,
         ..Default::default()
     };
+    let plans = PlanCache::new();
+    let loaded: Vec<Job> = datasets
+        .iter()
+        .enumerate()
+        .map(|(i, ds)| Job::loaded(i, ds))
+        .collect();
+    let files: Vec<Job> = paths
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Job::file(i, p.clone()))
+        .collect();
 
-    let preloaded = batch
-        .run_sessions_supervised(&datasets, 1.5, &sup, &|_, _| {})
-        .unwrap();
+    let preloaded = execute(&pipeline, &loaded, 3, &sup, &plans, &|_, _| {});
     let reference = result_bits(&preloaded);
     assert!(!reference.is_empty());
 
     // Two streamed runs: scheduling and prefetch order are free to vary
     // between them, the bits are not.
     for round in 0..2 {
-        let streamed = batch
-            .run_streamed_supervised(&paths, 1.5, &sup, &|_, r| assert!(r.is_ok()))
-            .unwrap();
+        let streamed = execute(&pipeline, &files, 3, &sup, &plans, &|_, r| {
+            assert!(r.is_ok())
+        });
         assert_eq!(
             result_bits(&streamed),
             reference,

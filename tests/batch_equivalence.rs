@@ -1,12 +1,13 @@
-//! Cross-crate integration test: the batched throughput path must be an
-//! *exact* stand-in for the sequential path. Whole `ParmaSolution`s —
-//! resistor maps, iteration counts, residuals, histories, recovery logs —
-//! come back bitwise identical whether solves run one at a time on the
-//! calling thread or fan out over the work-stealing pool, at any thread
-//! count, for healthy and degenerate datasets alike.
+//! Cross-crate integration test: the job executor must be an *exact*
+//! stand-in for the sequential path. Whole `ParmaSolution`s — resistor
+//! maps, iteration counts, residuals, histories, recovery logs — come back
+//! bitwise identical whether solves run one at a time on the calling
+//! thread or fan out over the work-stealing pool, at any thread count,
+//! for healthy and degenerate datasets alike.
 
 use parma::full_newton::{full_newton_inverse, FullNewtonOptions};
 use parma::prelude::*;
+use parma::{execute, Job, Outcome};
 
 fn measurements(n: usize, seeds: &[u64]) -> Vec<ZMatrix> {
     seeds
@@ -16,6 +17,44 @@ fn measurements(n: usize, seeds: &[u64]) -> Vec<ZMatrix> {
             ForwardSolver::new(&truth).unwrap().solve_all()
         })
         .collect()
+}
+
+/// A one-time-point session around `z` at the solver's default voltage,
+/// so the executor's solve of it is exactly `ParmaSolver::solve(z)`.
+fn single(z: &ZMatrix) -> WetLabDataset {
+    WetLabDataset {
+        grid: z.grid(),
+        measurements: vec![mea_model::Measurement {
+            hours: 0,
+            voltage: ParmaConfig::default().voltage,
+            z: z.clone(),
+            ground_truth: None,
+        }],
+    }
+}
+
+/// Runs every dataset as job `i` through the executor.
+fn run(
+    config: ParmaConfig,
+    datasets: &[WetLabDataset],
+    threads: usize,
+    sup: &SupervisorConfig,
+    on_done: &(dyn Fn(usize, &Outcome) + Sync),
+) -> Vec<Outcome> {
+    let pipeline = Pipeline::new(config, 1.5).unwrap();
+    let jobs: Vec<Job> = datasets
+        .iter()
+        .enumerate()
+        .map(|(i, ds)| Job::loaded(i, ds))
+        .collect();
+    execute(&pipeline, &jobs, threads, sup, &PlanCache::new(), on_done)
+}
+
+fn no_retries() -> SupervisorConfig {
+    SupervisorConfig {
+        max_retries: 0,
+        ..Default::default()
+    }
 }
 
 fn assert_solutions_bitwise_equal(a: &ParmaSolution, b: &ParmaSolution, label: &str) {
@@ -46,13 +85,19 @@ fn batched_solutions_equal_sequential_solutions_bitwise() {
     let zs = measurements(6, &[501, 502, 503, 504, 505]);
     let solver = ParmaSolver::new(ParmaConfig::default());
     let sequential: Vec<ParmaSolution> = zs.iter().map(|z| solver.solve(z).unwrap()).collect();
-    for threads in [1usize, 2, 4, 8] {
-        let batch = BatchSolver::new(ParmaConfig::default(), threads).unwrap();
-        let batched = batch.solve_all(&zs);
+    let datasets: Vec<WetLabDataset> = zs.iter().map(single).collect();
+    for threads in [1usize, 2, 3, 4, 8] {
+        let batched = run(
+            ParmaConfig::default(),
+            &datasets,
+            threads,
+            &SupervisorConfig::default(),
+            &|_, _| {},
+        );
         assert_eq!(batched.len(), sequential.len());
         for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
             assert_solutions_bitwise_equal(
-                b.as_ref().unwrap(),
+                &b.as_ref().unwrap()[0].solution,
                 s,
                 &format!("item {i}, {threads} threads"),
             );
@@ -77,22 +122,11 @@ fn degenerate_maps_recover_identically_in_batch() {
         ..Default::default()
     };
     let solver = ParmaSolver::new(cfg);
-    let sequential: Vec<Result<ParmaSolution, ParmaError>> =
-        zs.iter().map(|z| solver.solve(z)).collect();
-    let batched = BatchSolver::new(cfg, 3).unwrap().solve_all(&zs);
-    for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-        match (b, s) {
-            (Ok(b), Ok(s)) => assert_solutions_bitwise_equal(b, s, &format!("item {i}")),
-            (
-                Err(ParmaError::NoConvergence { partial: pb, .. }),
-                Err(ParmaError::NoConvergence { partial: ps, .. }),
-            ) => {
-                for (x, y) in pb.as_slice().iter().zip(ps.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "item {i}: partial map");
-                }
-            }
-            other => panic!("item {i}: batch/sequential outcome mismatch: {other:?}"),
-        }
+    let datasets: Vec<WetLabDataset> = zs.iter().map(single).collect();
+    let batched = run(cfg, &datasets, 3, &no_retries(), &|_, _| {});
+    for (i, (b, z)) in batched.iter().zip(&zs).enumerate() {
+        let s = solver.solve(z).unwrap();
+        assert_solutions_bitwise_equal(&b.as_ref().unwrap()[0].solution, &s, &format!("item {i}"));
     }
 }
 
@@ -106,10 +140,13 @@ fn batched_sessions_equal_sequential_pipeline_bitwise() {
     let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
     let sequential: Vec<Vec<TimePointResult>> =
         datasets.iter().map(|d| pipeline.run(d).unwrap()).collect();
-    let batched = BatchSolver::new(ParmaConfig::default(), 2)
-        .unwrap()
-        .run_sessions(&datasets, 1.5)
-        .unwrap();
+    let batched = run(
+        ParmaConfig::default(),
+        &datasets,
+        2,
+        &SupervisorConfig::default(),
+        &|_, _| {},
+    );
     for (d, (b, s)) in batched.iter().zip(&sequential).enumerate() {
         let b = b.as_ref().unwrap();
         assert_eq!(b.len(), s.len());
@@ -132,27 +169,31 @@ fn batched_sessions_equal_sequential_pipeline_bitwise() {
 fn supervised_sessions_equal_plain_sessions_bitwise() {
     // The determinism contract of supervised execution: with retries
     // disabled and no deadlines, the supervisor is a pure pass-through —
-    // session results carry exactly the plain batch's bits, per time
-    // point, at any thread count.
+    // session results carry exactly the plain pipeline's bits, per time
+    // point, at any thread count, and `on_done` fires once per session.
     let datasets: Vec<WetLabDataset> = (0..3)
         .map(|k| {
             WetLabDataset::generate(MeaGrid::square(5), &AnomalyConfig::default(), 750 + k).unwrap()
         })
         .collect();
-    let sup = SupervisorConfig {
-        max_retries: 0,
-        ..Default::default()
-    };
-    let on_done = |_: usize, _: &Result<Vec<TimePointResult>, FailureReport>| {};
+    let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
+    let plain: Vec<Vec<TimePointResult>> =
+        datasets.iter().map(|d| pipeline.run(d).unwrap()).collect();
     for threads in [1usize, 3] {
-        let batch = BatchSolver::new(ParmaConfig::default(), threads).unwrap();
-        let plain = batch.run_sessions(&datasets, 1.5).unwrap();
-        let supervised = batch
-            .run_sessions_supervised(&datasets, 1.5, &sup, &on_done)
-            .unwrap();
+        let fired = std::sync::Mutex::new(Vec::new());
+        let supervised = run(
+            ParmaConfig::default(),
+            &datasets,
+            threads,
+            &no_retries(),
+            &|i, r| fired.lock().unwrap().push((i, r.is_ok())),
+        );
+        let mut fired = fired.into_inner().unwrap();
+        fired.sort_unstable();
+        assert_eq!(fired, vec![(0, true), (1, true), (2, true)]);
         assert_eq!(plain.len(), supervised.len());
         for (d, (p, s)) in plain.iter().zip(&supervised).enumerate() {
-            let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
+            let s = s.as_ref().unwrap();
             assert_eq!(p.len(), s.len());
             for (tp_p, tp_s) in p.iter().zip(s) {
                 assert_eq!(tp_p.hours, tp_s.hours);
@@ -173,13 +214,18 @@ fn supervised_sessions_equal_plain_sessions_bitwise() {
 #[test]
 fn template_full_newton_agrees_with_production_batch() {
     // Third independent check that the symbolic-template Gauss-Newton path
-    // and the batched fixed-point path still meet at the same root.
+    // and the executor's fixed-point path still meet at the same root.
     let zs = measurements(4, &[801, 802]);
-    let batched = BatchSolver::new(ParmaConfig::default(), 2)
-        .unwrap()
-        .solve_all(&zs);
+    let datasets: Vec<WetLabDataset> = zs.iter().map(single).collect();
+    let batched = run(
+        ParmaConfig::default(),
+        &datasets,
+        2,
+        &SupervisorConfig::default(),
+        &|_, _| {},
+    );
     for (z, res) in zs.iter().zip(&batched) {
-        let fp = res.as_ref().unwrap();
+        let fp = &res.as_ref().unwrap()[0].solution;
         let gn = full_newton_inverse(z, 5.0, &FullNewtonOptions::default()).unwrap();
         let diff = fp.resistors.rel_max_diff(&gn.resistors);
         assert!(

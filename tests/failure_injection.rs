@@ -215,13 +215,13 @@ fn faulted_measurement(faults: &[mea_model::faults::Fault]) -> ZMatrix {
 /// either converges to a fully finite, physical map or comes back as a
 /// classified [`FailureReport`] — never a panic, never NaN output.
 fn assert_supervised_outcome_is_classified(z: ZMatrix, label: &str) {
-    let batch = BatchSolver::new(
+    let pipeline = Pipeline::new(
         ParmaConfig {
             max_iter: 6_000,
             recovery: true,
             ..Default::default()
         },
-        2,
+        1.5,
     )
     .unwrap();
     let sup = SupervisorConfig {
@@ -229,9 +229,26 @@ fn assert_supervised_outcome_is_classified(z: ZMatrix, label: &str) {
         backoff: std::time::Duration::ZERO,
         ..Default::default()
     };
-    let out = batch.solve_all_supervised(&[z], &sup);
+    let dataset = WetLabDataset {
+        grid: z.grid(),
+        measurements: vec![mea_model::Measurement {
+            hours: 0,
+            voltage: ParmaConfig::default().voltage,
+            z,
+            ground_truth: None,
+        }],
+    };
+    let out = parma::execute(
+        &pipeline,
+        &[parma::Job::loaded(0, &dataset)],
+        2,
+        &sup,
+        &PlanCache::new(),
+        &|_, _| {},
+    );
     match &out[0] {
-        Ok(sol) => {
+        Ok(tps) => {
+            let sol = &tps[0].solution;
             assert!(
                 sol.resistors.is_physical(),
                 "{label}: converged output must be physical"
