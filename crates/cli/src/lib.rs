@@ -554,6 +554,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_tolerance_is_an_invalid_configuration() {
+        let dir = std::env::temp_dir().join("parma-cli-tol-inf");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.txt");
+        let p = path.to_str().unwrap();
+        run_str(&["generate", "--n", "4", "--seed", "3", "--out", p]).unwrap();
+        let d = dir.to_str().unwrap();
+        for args in [
+            ["solve", "--input", p, "--tol", "inf"],
+            ["batch", d, "--tol", "inf", "--quiet"],
+        ] {
+            let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&raw, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}: {}", err.message);
+            assert!(
+                err.message.contains("invalid configuration"),
+                "{args:?}: {}",
+                err.message
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn solve_missing_input_errors() {
         let err = run_str(&["solve", "--input", "/nonexistent/nope.txt"]).unwrap_err();
         assert!(err.contains("dataset"), "{err}");

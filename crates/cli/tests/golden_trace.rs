@@ -85,7 +85,7 @@ fn solve_trace_schema_is_stable() {
     // Stage spans of one session solve, lexicographic (= stable) order:
     // the pipeline root, then its nested time points, solves, detection,
     // and the per-iteration kernel spans inside each solve (workspace
-    // refactor with its factor/inverse phases, then the sweep).
+    // refactor with its factor phase, then the sweep).
     let stages = [
         "\"pipeline/run\"",
         "\"pipeline/run/time_point\"",
@@ -93,7 +93,6 @@ fn solve_trace_schema_is_stable() {
         "\"pipeline/run/time_point/parma/solve\"",
         "\"pipeline/run/time_point/parma/solve/refactor\"",
         "\"pipeline/run/time_point/parma/solve/refactor/factor\"",
-        "\"pipeline/run/time_point/parma/solve/refactor/inverse\"",
         "\"pipeline/run/time_point/parma/solve/sweep\"",
     ];
     let mut prev = spans_at;

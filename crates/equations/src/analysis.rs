@@ -10,7 +10,7 @@
 //! overflow, and [`SystemScale::checked`] reports whether the counts fit
 //! the platform's `usize` before anything allocates.
 //!
-//! The second half is the structural side of the factorization dispatch:
+//! The second half is the structural case for the factorization:
 //! [`pair_block_pattern`] assembles the symbolic CSR pattern of one
 //! pair's `2n`-equation block over the global unknown space — without any
 //! dense storage, so it is cheap even at `n = 100` where the global
@@ -19,15 +19,13 @@
 //! The crossbar block is *not* thinly banded (its locally-compressed
 //! bandwidth grows with the block, the arrowhead shape of §IV-A), which
 //! is exactly why the solver factors the equivalent grounded Laplacian
-//! through the structured Schur path instead of a banded elimination;
-//! [`PairBlockAnalysis::suggested_path`] encodes that decision with the
-//! same threshold `mea-linalg` uses.
+//! through the structured Schur path instead of a banded elimination.
 
 use crate::constraint::Equation;
 use crate::formation::form_pair_equations;
 use crate::jacobian::term_columns;
 use crate::unknowns::UnknownIndex;
-use mea_linalg::{CsrPattern, FactorPath, STRUCTURED_MIN_DIM};
+use mea_linalg::CsrPattern;
 use mea_model::MeaGrid;
 
 /// The analytic size of a grid's joint-constraint system, computed in
@@ -164,18 +162,6 @@ impl PairBlockAnalysis {
     pub fn is_thinly_banded(&self) -> bool {
         4 * self.local_bandwidth < self.columns_touched
     }
-
-    /// The factorization route the structural analysis recommends for
-    /// this pair's solve: the structured Schur path once the Laplacian
-    /// order reaches `mea_linalg::STRUCTURED_MIN_DIM`, dense below it
-    /// (where the pivoted dense Cholesky's pinned bits are kept).
-    pub fn suggested_path(&self) -> FactorPath {
-        if self.laplacian_dim >= STRUCTURED_MIN_DIM {
-            FactorPath::Structured
-        } else {
-            FactorPath::Dense
-        }
-    }
 }
 
 /// Analyzes one pair's block: assembles the symbolic pattern, compresses
@@ -308,7 +294,7 @@ mod tests {
 
     #[test]
     fn crossbar_blocks_are_never_thinly_banded() {
-        // The structural fact behind the dispatch: balance rows reach
+        // The structural fact behind the factorization: balance rows reach
         // across whole wires, so compressing to the touched columns still
         // leaves near-full bandwidth — banded elimination has no purchase
         // and the structured Schur path is the right large-n route.
@@ -321,23 +307,5 @@ mod tests {
                 a.columns_touched
             );
         }
-    }
-
-    #[test]
-    fn suggested_path_follows_the_linalg_threshold() {
-        assert_eq!(
-            analyze_pair_block(MeaGrid::square(16), 0, 0).suggested_path(),
-            FactorPath::Dense,
-            "dim 31 stays on the pinned dense path"
-        );
-        assert_eq!(
-            analyze_pair_block(MeaGrid::square(32), 0, 0).suggested_path(),
-            FactorPath::Structured,
-            "dim 63 crosses STRUCTURED_MIN_DIM"
-        );
-        assert_eq!(
-            analyze_pair_block(MeaGrid::square(100), 1, 1).suggested_path(),
-            FactorPath::Structured
-        );
     }
 }

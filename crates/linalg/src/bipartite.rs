@@ -42,12 +42,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// therefore the bits, cannot depend on the executor.
 pub const CHUNK: usize = 16;
 
-/// Smallest grounded dimension at which [`FactorPath::Auto`] picks the
-/// structured path. Below this the dense path's lower constant wins and —
-/// more importantly — the historical bitwise pins (n ≤ 16 fixtures) keep
-/// exercising the exact code that produced them.
-pub const STRUCTURED_MIN_DIM: usize = 48;
-
 /// Which inverse blocks a factorization must produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InverseScope {
@@ -56,42 +50,6 @@ pub enum InverseScope {
     /// Only what the sweep hot path reads: the VV block, the HV block, and
     /// the HH *diagonal*. HH off-diagonals are left zero.
     SweepOnly,
-}
-
-/// Factorization dispatch for the per-pair joint systems.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorPath {
-    /// Dispatch by size: structured when `dim ≥ STRUCTURED_MIN_DIM`.
-    #[default]
-    Auto,
-    /// Always the dense Cholesky path (the pre-PR-6 behavior).
-    Dense,
-    /// Always the structured bipartite path.
-    Structured,
-}
-
-impl FactorPath {
-    /// Resolves the dispatch for a grounded system of `dim` unknowns.
-    /// Returns `true` when the structured path should run.
-    pub fn use_structured(self, dim: usize) -> bool {
-        match self {
-            FactorPath::Auto => dim >= STRUCTURED_MIN_DIM,
-            FactorPath::Dense => false,
-            FactorPath::Structured => true,
-        }
-    }
-
-    /// Reads an override from `PARMA_FACTOR_PATH` (`auto` / `dense` /
-    /// `structured`, case-insensitive). Unset or unrecognized → `None`.
-    pub fn from_env() -> Option<FactorPath> {
-        let raw = std::env::var("PARMA_FACTOR_PATH").ok()?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(FactorPath::Auto),
-            "dense" => Some(FactorPath::Dense),
-            "structured" | "sparse" | "banded" => Some(FactorPath::Structured),
-            _ => None,
-        }
-    }
 }
 
 /// The grounded bipartite system in structured form: two diagonal blocks
@@ -159,8 +117,7 @@ impl BipartiteSystem {
     }
 
     /// Assembles the dense grounded Laplacian `[D_h −G; −Gᵀ D_v]` into
-    /// `out` (used by the equivalence suite and the dense fallback of
-    /// callers that assembled structurally).
+    /// `out` (the reference the structured inverse is tested against).
     pub fn to_dense(&self, out: &mut DenseMatrix) {
         let dim = self.dim();
         assert_eq!(out.rows(), dim, "to_dense: row mismatch");
@@ -738,13 +695,5 @@ mod tests {
             .factor_invert_into(&sys, &mut out, InverseScope::Full, &Sequential, None)
             .unwrap_err();
         assert_eq!(err, LinalgError::NotPositiveDefinite(1));
-    }
-
-    #[test]
-    fn factor_path_dispatch() {
-        assert!(!FactorPath::Auto.use_structured(STRUCTURED_MIN_DIM - 1));
-        assert!(FactorPath::Auto.use_structured(STRUCTURED_MIN_DIM));
-        assert!(!FactorPath::Dense.use_structured(10_000));
-        assert!(FactorPath::Structured.use_structured(2));
     }
 }

@@ -1,9 +1,9 @@
 //! A damped fixed-point driver with residual-based convergence control.
 //!
-//! Parma's outer inverse-solve loop is a damped fixed-point iteration on the
-//! conductance vector (`g ← g + α·(1/Z_meas − 1/Z_model)` per pair); this
-//! module hosts the generic driver so the update rule and the iteration
-//! policy are testable in isolation.
+//! Parma's inverse solve is a damped fixed-point iteration on the
+//! conductance vector (`g ← g + α·(1/Z_meas − 1/Z_model)` per pair), but
+//! `ParmaSolver` runs its own loop; this module is a generic driver with
+//! no caller outside this crate.
 
 use crate::error::LinalgError;
 use crate::vec_ops;

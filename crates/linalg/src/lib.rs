@@ -10,12 +10,13 @@
 //!   and matrix-vector products,
 //! * [`conjugate_gradient`] — Jacobi-preconditioned CG for s.p.d. systems,
 //! * [`newton_solve`] — a damped Newton driver for square nonlinear systems,
-//! * [`fixed_point`] — a damped fixed-point driver with residual-based
-//!   convergence control (the outer loop of Parma's inverse solver),
+//! * [`fixed_point`] — a generic damped fixed-point driver with
+//!   residual-based convergence control,
 //! * [`vec_ops`] — the handful of BLAS-1 kernels everything else uses,
 //! * [`BipartiteFactor`] — a structured Schur-complement factorization of
 //!   grounded crossbar Laplacians with explicit [`simd`] lanes and a
-//!   [`Parallelism`] seam for intra-solve row-chunk parallelism.
+//!   [`Parallelism`] seam for intra-solve row-chunk parallelism; every
+//!   forward refactor of Parma's inverse solve goes through it.
 
 mod bipartite;
 mod cg;
@@ -32,9 +33,7 @@ pub mod spectral;
 pub mod stationary;
 pub mod vec_ops;
 
-pub use bipartite::{
-    BipartiteFactor, BipartiteSystem, FactorPath, InverseScope, CHUNK, STRUCTURED_MIN_DIM,
-};
+pub use bipartite::{BipartiteFactor, BipartiteSystem, InverseScope, CHUNK};
 pub use cg::{conjugate_gradient, CgOptions, CgOutcome};
 pub use cgls::{cgls, cgls_into, CglsOptions, CglsOutcome, CglsStats, CglsWorkspace};
 pub use csr::{CooTriplets, CsrMatrix, CsrPattern};

@@ -10,8 +10,9 @@
 //! Z_ij = (e_i − e_j)ᵀ · L⁺ · (e_i − e_j)
 //! ```
 //!
-//! with `L` the weighted graph Laplacian. One grounded-Cholesky inverse of
-//! `L` (order `m+n−1`) serves every pair, so the full `Z` matrix costs
+//! with `L` the weighted graph Laplacian. One grounded inverse of `L`
+//! (order `m+n−1`, factored through the Schur complement of the vertical
+//! wires) serves every pair, so the full `Z` matrix costs
 //! `O((m+n)³ + m·n·1)` — this is also the inner linear solve of Parma's
 //! inverse iteration, where the per-pair wire potentials double as the
 //! ground truth for the paper's `Ua`/`Ub` intermediate voltages.
@@ -23,27 +24,20 @@
 use crate::graph::WireId;
 use crate::grid::{CrossingMatrix, MeaGrid, ResistorGrid, ZMatrix};
 use mea_linalg::{
-    BipartiteFactor, BipartiteSystem, CholeskyFactor, DenseMatrix, FactorPath, InverseScope,
-    LinalgError, Parallelism, Sequential,
+    BipartiteFactor, BipartiteSystem, DenseMatrix, InverseScope, LinalgError, Parallelism,
+    Sequential,
 };
 
-/// Reusable scratch for [`ForwardSolver::refactor`]: the grounded
-/// Laplacian (dense path) or the structured bipartite system, the
-/// corresponding factor, the reduced inverse, and one scratch column, all
-/// sized for a single geometry. One workspace amortizes every
-/// per-iteration allocation of the forward factorization; it resizes
-/// itself if handed a different geometry (configuration — factor path and
-/// inverse scope — survives resizing).
+/// Reusable scratch for [`ForwardSolver::refactor`]: the structured
+/// bipartite system, its factor and the reduced inverse, all sized for a
+/// single geometry. One workspace amortizes every per-iteration allocation
+/// of the forward factorization; it resizes itself if handed a different
+/// geometry (the inverse scope survives resizing).
 #[derive(Clone, Debug)]
 pub struct ForwardWorkspace {
-    dim: usize,
-    lap: DenseMatrix,
-    chol: CholeskyFactor,
     reduced_inv: DenseMatrix,
-    col: Vec<f64>,
     sys: BipartiteSystem,
     bip: BipartiteFactor,
-    path: FactorPath,
     sweep_only: bool,
 }
 
@@ -60,44 +54,23 @@ impl ForwardWorkspace {
 
     fn with_dim(dim: usize) -> Self {
         ForwardWorkspace {
-            dim,
-            lap: DenseMatrix::zeros(dim, dim),
-            chol: CholeskyFactor::empty(),
             reduced_inv: DenseMatrix::zeros(dim, dim),
-            col: vec![0.0; dim],
             sys: BipartiteSystem::new(),
             bip: BipartiteFactor::new(),
-            path: FactorPath::from_env().unwrap_or_default(),
             sweep_only: false,
         }
     }
 
     fn ensure(&mut self, dim: usize) {
-        if self.dim != dim {
-            self.dim = dim;
-            self.lap = DenseMatrix::zeros(dim, dim);
-            self.chol = CholeskyFactor::empty();
+        if self.reduced_inv.rows() != dim {
             self.reduced_inv = DenseMatrix::zeros(dim, dim);
-            self.col = vec![0.0; dim];
         }
     }
 
-    /// Overrides the factorization dispatch (default: [`FactorPath::Auto`],
-    /// or the `PARMA_FACTOR_PATH` environment override at construction).
-    pub fn set_factor_path(&mut self, path: FactorPath) {
-        self.path = path;
-    }
-
-    /// The active factorization dispatch.
-    pub fn factor_path(&self) -> FactorPath {
-        self.path
-    }
-
-    /// Restricts *structured* refactors to the sweep-scope inverse (HH
-    /// off-diagonals skipped): solvers refactored through this workspace
-    /// then answer [`ForwardSolver::effective_resistance`] but panic on
-    /// the full-field queries. The dense path always produces the full
-    /// inverse regardless of this flag.
+    /// Restricts refactors to the sweep-scope inverse (HH off-diagonals
+    /// skipped): solvers refactored through this workspace then answer
+    /// [`ForwardSolver::effective_resistance`] but panic on the full-field
+    /// queries.
     pub fn set_sweep_only(&mut self, sweep_only: bool) {
         self.sweep_only = sweep_only;
     }
@@ -164,7 +137,7 @@ pub struct ForwardSolver {
     /// zero-padded back to full node order (ground row/col are zero).
     minv: DenseMatrix,
     /// Whether `minv` carries the full HH block. False only after a
-    /// structured sweep-scope refactor; the full-field queries
+    /// sweep-scope refactor; the full-field queries
     /// ([`Self::pair_potentials`], [`Self::sensitivity`]) assert on it.
     hh_full: bool,
 }
@@ -226,14 +199,14 @@ impl ForwardSolver {
     }
 
     /// [`Self::refactor`] with an intra-solve executor and a stop
-    /// condition. The factorization path is dispatched by the workspace's
-    /// [`FactorPath`] (by default: dense below
-    /// [`mea_linalg::STRUCTURED_MIN_DIM`], structured above); the
-    /// structured path fans its row-chunk stages out over `par` and polls
+    /// condition. The grounded Laplacian is assembled in bipartite block
+    /// form and inverted through the vertical-wire Schur complement
+    /// ([`BipartiteFactor`]), in the workspace's inverse scope; the
+    /// factorization fans its row-chunk stages out over `par` and polls
     /// `should_stop` at chunk granularity, failing with
     /// [`LinalgError::Cancelled`] mid-factorization instead of only
     /// between solver iterations. Results are bitwise independent of
-    /// `par` for a fixed path.
+    /// `par`.
     pub fn refactor_supervised(
         &mut self,
         r: &ResistorGrid,
@@ -259,59 +232,28 @@ impl ForwardSolver {
         for (g, &x) in self.conductances.iter_mut().zip(r.as_slice()) {
             *g = 1.0 / x;
         }
-        if ws.path.use_structured(dim) {
-            // Structured path: assemble the bipartite blocks directly and
-            // invert through the Schur complement of the vertical wires.
-            ws.sys.reset(m, n - 1);
-            for i in 0..m {
-                for j in 0..n {
-                    let g = self.conductances[self.grid.pair_index(i, j)];
-                    if j + 1 == n {
-                        ws.sys.add_ground(i, g);
-                    } else {
-                        ws.sys.add_cross(i, j, g);
-                    }
+        ws.sys.reset(m, n - 1);
+        for i in 0..m {
+            for j in 0..n {
+                let g = self.conductances[self.grid.pair_index(i, j)];
+                if j + 1 == n {
+                    ws.sys.add_ground(i, g);
+                } else {
+                    ws.sys.add_cross(i, j, g);
                 }
             }
-            let scope = if ws.sweep_only {
-                InverseScope::SweepOnly
-            } else {
-                InverseScope::Full
-            };
-            {
-                let _s = mea_obs::span("factor");
-                ws.bip
-                    .factor_invert_into(&ws.sys, &mut ws.reduced_inv, scope, par, should_stop)?;
-            }
-            self.hh_full = !ws.sweep_only;
-        } else {
-            ws.lap.as_mut_slice().fill(0.0);
-            for i in 0..m {
-                for j in 0..n {
-                    let g = self.conductances[self.grid.pair_index(i, j)];
-                    let (a, b) = (i, m + j);
-                    if a < dim {
-                        ws.lap[(a, a)] += g;
-                    }
-                    if b < dim {
-                        ws.lap[(b, b)] += g;
-                    }
-                    if a < dim && b < dim {
-                        ws.lap[(a, b)] -= g;
-                        ws.lap[(b, a)] -= g;
-                    }
-                }
-            }
-            {
-                let _s = mea_obs::span("factor");
-                ws.chol.refactor_from(&ws.lap)?;
-            }
-            {
-                let _s = mea_obs::span("inverse");
-                ws.chol.inverse_into(&mut ws.reduced_inv, &mut ws.col);
-            }
-            self.hh_full = true;
         }
+        let scope = if ws.sweep_only {
+            InverseScope::SweepOnly
+        } else {
+            InverseScope::Full
+        };
+        {
+            let _s = mea_obs::span("factor");
+            ws.bip
+                .factor_invert_into(&ws.sys, &mut ws.reduced_inv, scope, par, should_stop)?;
+        }
+        self.hh_full = !ws.sweep_only;
         // Zero-pad to full node order (the ground row/column of minv are
         // written once at construction and never touched again).
         for a in 0..dim {
@@ -321,7 +263,7 @@ impl ForwardSolver {
     }
 
     /// Whether the current factorization carries the full HH inverse
-    /// block (false only after a structured sweep-scope refactor).
+    /// block (false only after a sweep-scope refactor).
     pub fn hh_full(&self) -> bool {
         self.hh_full
     }
@@ -541,7 +483,7 @@ mod tests {
 
     #[test]
     fn matches_cg_solution() {
-        // Cross-validate the dense grounded-Cholesky path against an
+        // Cross-validate the structured factorization against an
         // independent CG solve of the same grounded Laplacian.
         let mut r = uniform(4, 2500.0);
         r.set(1, 1, 7000.0);
@@ -573,11 +515,8 @@ mod tests {
         rhs[m + 1] -= 1.0;
         let sol = conjugate_gradient(&lap, &rhs, None, &CgOptions::default()).unwrap();
         let z_cg = sol.x[2] - sol.x[m + 1];
-        let z_dense = fs.effective_resistance(2, 1);
-        assert!(
-            (z_cg - z_dense).abs() / z_dense < 1e-8,
-            "{z_cg} vs {z_dense}"
-        );
+        let z_fs = fs.effective_resistance(2, 1);
+        assert!((z_cg - z_fs).abs() / z_fs < 1e-8, "{z_cg} vs {z_fs}");
     }
 
     #[test]
@@ -674,6 +613,10 @@ mod tests {
     }
 
     fn random_map(n: usize, seed: u64) -> ResistorGrid {
+        random_map_on(MeaGrid::square(n), seed)
+    }
+
+    fn random_map_on(grid: MeaGrid, seed: u64) -> ResistorGrid {
         let mut state = seed | 1;
         let mut next = || {
             state = state
@@ -681,7 +624,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             2000.0 + 9000.0 * ((state >> 11) as f64 / (1u64 << 53) as f64)
         };
-        let grid = MeaGrid::square(n);
         let mut r = CrossingMatrix::filled(grid, 0.0);
         for (i, j) in grid.pair_iter() {
             r.set(i, j, next());
@@ -689,32 +631,87 @@ mod tests {
         r
     }
 
+    /// The grounded Laplacian of `r` (ground: the last vertical wire),
+    /// assembled densely here and inverted by dense Cholesky — a reference
+    /// that shares no code with the structured factorization.
+    fn dense_reference(r: &ResistorGrid) -> DenseMatrix {
+        let (m, n) = (r.grid().rows(), r.grid().cols());
+        let dim = m + n - 1;
+        let mut lap = DenseMatrix::zeros(dim, dim);
+        for i in 0..m {
+            for j in 0..n {
+                let g = 1.0 / r.get(i, j);
+                let b = m + j;
+                lap[(i, i)] += g;
+                if b < dim {
+                    lap[(b, b)] += g;
+                    lap[(i, b)] -= g;
+                    lap[(b, i)] -= g;
+                }
+            }
+        }
+        lap.cholesky().expect("grounded Laplacian is SPD").inverse()
+    }
+
     #[test]
     fn structured_path_matches_dense_within_tolerance() {
-        // The equivalence satellite at n = 4–16: both factorization paths
-        // must produce the same physics (different roundoff is allowed —
-        // the two paths have different but individually pinned schedules).
-        for n in [4usize, 6, 9, 12, 16] {
-            let r = random_map(n, 0x5EED ^ n as u64);
-            let mut ws_d = ForwardWorkspace::new(r.grid());
-            ws_d.set_factor_path(FactorPath::Dense);
-            let dense = ForwardSolver::with_workspace(&r, &mut ws_d).unwrap();
-            let mut ws_s = ForwardWorkspace::new(r.grid());
-            ws_s.set_factor_path(FactorPath::Structured);
-            let structured = ForwardSolver::with_workspace(&r, &mut ws_s).unwrap();
-            assert!(dense.hh_full() && structured.hh_full());
-            for (i, j) in r.grid().pair_iter() {
-                let zd = dense.effective_resistance(i, j);
-                let zs = structured.effective_resistance(i, j);
-                assert!(
-                    (zd - zs).abs() <= 1e-9 * zd.abs(),
-                    "n={n} pair ({i},{j}): dense {zd} vs structured {zs}"
-                );
-                let pd = dense.pair_potentials(i, j, 5.0);
-                let ps = structured.pair_potentials(i, j, 5.0);
-                for w in 0..2 * n {
-                    let (a, b) = (pd.potentials[w], ps.potentials[w]);
-                    assert!((a - b).abs() <= 1e-8, "n={n} node {w}: {a} vs {b}");
+        // Squares n = 4–16 plus degenerate and oblong shapes, in both
+        // inverse scopes: every entry the scope computes, and every
+        // effective resistance, agree with the dense reference to 1e-9
+        // relative (the roundoff differs, the physics must not).
+        let shapes = [
+            (4, 4),
+            (6, 6),
+            (9, 9),
+            (12, 12),
+            (16, 16),
+            (1, 1),
+            (1, 5),
+            (5, 1),
+            (2, 7),
+            (7, 2),
+            (9, 4),
+        ];
+        for (m, n) in shapes {
+            let grid = MeaGrid::new(m, n);
+            let r = random_map_on(grid, 0x5EED ^ (m * 100 + n) as u64);
+            let dense = dense_reference(&r);
+            let dim = m + n - 1;
+            let scale = dense.norm_max();
+            let at = |x: usize, y: usize| {
+                if x < dim && y < dim {
+                    dense[(x, y)]
+                } else {
+                    0.0
+                }
+            };
+            for sweep_only in [false, true] {
+                let mut ws = ForwardWorkspace::new(grid);
+                ws.set_sweep_only(sweep_only);
+                let fs = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
+                assert_eq!(fs.hh_full(), !sweep_only);
+                for x in 0..dim {
+                    for y in 0..dim {
+                        let got = fs.minv[(x, y)];
+                        if sweep_only && x < m && y < m && x != y {
+                            assert_eq!(got, 0.0, "{m}×{n}: HH off-diagonal ({x},{y})");
+                            continue;
+                        }
+                        assert!(
+                            (got - dense[(x, y)]).abs() <= 1e-9 * scale,
+                            "{m}×{n} sweep_only={sweep_only} entry ({x},{y}): {got} vs {}",
+                            dense[(x, y)]
+                        );
+                    }
+                }
+                for (i, j) in grid.pair_iter() {
+                    let (a, b) = (i, m + j);
+                    let zd = at(a, a) + at(b, b) - 2.0 * at(a, b);
+                    let zs = fs.effective_resistance(i, j);
+                    assert!(
+                        (zs - zd).abs() <= 1e-9 * zd,
+                        "{m}×{n} sweep_only={sweep_only} pair ({i},{j}): {zs} vs dense {zd}"
+                    );
                 }
             }
         }
@@ -722,10 +719,9 @@ mod tests {
 
     #[test]
     fn structured_path_is_deterministic_per_path() {
-        // Two structured refactors of the same map give identical bits.
+        // Two refactors of the same map give identical bits.
         let r = random_map(8, 99);
         let mut ws = ForwardWorkspace::new(r.grid());
-        ws.set_factor_path(FactorPath::Structured);
         let a = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
         let b = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
         for (x, y) in a.minv.as_slice().iter().zip(b.minv.as_slice()) {
@@ -737,10 +733,8 @@ mod tests {
     fn sweep_only_scope_answers_resistance_but_guards_full_queries() {
         let r = random_map(6, 1234);
         let mut ws_full = ForwardWorkspace::new(r.grid());
-        ws_full.set_factor_path(FactorPath::Structured);
         let full = ForwardSolver::with_workspace(&r, &mut ws_full).unwrap();
         let mut ws = ForwardWorkspace::new(r.grid());
-        ws.set_factor_path(FactorPath::Structured);
         ws.set_sweep_only(true);
         let sweep = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
         assert!(!sweep.hh_full());
@@ -758,46 +752,9 @@ mod tests {
     fn sweep_only_scope_panics_on_pair_potentials() {
         let r = random_map(5, 77);
         let mut ws = ForwardWorkspace::new(r.grid());
-        ws.set_factor_path(FactorPath::Structured);
         ws.set_sweep_only(true);
         let fs = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
         let _ = fs.pair_potentials(0, 0, 5.0);
-    }
-
-    #[test]
-    fn dense_path_ignores_sweep_only_flag() {
-        let r = random_map(4, 31);
-        let mut ws = ForwardWorkspace::new(r.grid());
-        ws.set_factor_path(FactorPath::Dense);
-        ws.set_sweep_only(true);
-        let fs = ForwardSolver::with_workspace(&r, &mut ws).unwrap();
-        assert!(fs.hh_full());
-        let _ = fs.pair_potentials(0, 0, 5.0); // must not panic
-    }
-
-    #[test]
-    fn auto_dispatch_keeps_small_grids_on_the_dense_pins() {
-        // n = 16 → dim 31 < STRUCTURED_MIN_DIM: Auto must match Dense
-        // bitwise so the historical fixtures stay valid.
-        let r = random_map(16, 5);
-        let mut ws_auto = ForwardWorkspace::new(r.grid());
-        let auto = ForwardSolver::with_workspace(&r, &mut ws_auto).unwrap();
-        let mut ws_dense = ForwardWorkspace::new(r.grid());
-        ws_dense.set_factor_path(FactorPath::Dense);
-        let dense = ForwardSolver::with_workspace(&r, &mut ws_dense).unwrap();
-        for (x, y) in auto.minv.as_slice().iter().zip(dense.minv.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // n = 32 → dim 63 ≥ threshold: Auto must match Structured bitwise.
-        let r = random_map(32, 6);
-        let mut ws_auto = ForwardWorkspace::new(r.grid());
-        let auto = ForwardSolver::with_workspace(&r, &mut ws_auto).unwrap();
-        let mut ws_s = ForwardWorkspace::new(r.grid());
-        ws_s.set_factor_path(FactorPath::Structured);
-        let structured = ForwardSolver::with_workspace(&r, &mut ws_s).unwrap();
-        for (x, y) in auto.minv.as_slice().iter().zip(structured.minv.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

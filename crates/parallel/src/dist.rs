@@ -1,4 +1,4 @@
-//! The `parma-wire/v1` frame protocol for multi-process sharding.
+//! The `parma-wire` frame protocol for multi-process sharding.
 //!
 //! Everything that crosses a worker socket is one *frame*:
 //!
@@ -15,15 +15,15 @@
 //! their own (bad magic, version mismatch, unknown kind, oversized
 //! payload) so errors name the real problem instead of "checksum".
 //!
-//! Version negotiation is per-frame: every frame carries the writer's
-//! protocol version and [`read_frame`] accepts the compatibility window
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`], rejecting anything
-//! newer (or older) before trusting a byte of the rest. v2 extended v1
-//! by *appending* optional payload fields — trace context on `Assign`,
-//! telemetry and clock probes on `Heartbeat`, solve timestamps on
-//! `Result` — so a v2 reader handles a v1 frame by seeing the optional
-//! tail absent (`PayloadReader::remaining() == 0`), and a frame from a
-//! future v3 that might reshape payloads is still refused outright.
+//! Every frame carries the writer's protocol version, and [`read_frame`]
+//! accepts exactly [`PROTOCOL_VERSION`], refusing anything else before
+//! trusting a byte of the rest. Both ends ship in one binary (`batch
+//! --workers` spawns its own executable), so there is no compatibility
+//! window to keep: every payload field, including the v2 additions —
+//! telemetry flags and the clock probe on `HelloAck`, trace context on
+//! `Assign`, solve timestamps on `Result` — is required. Only a
+//! `Heartbeat` may be empty: a worker sends a bare keepalive when it
+//! drops telemetry.
 //!
 //! This module is deliberately solver-agnostic: it knows frames, payload
 //! primitives, the deterministic shard partition (delegating to
@@ -37,13 +37,8 @@ use std::io::{Read, Write};
 use std::ops::Range;
 use std::time::Duration;
 
-/// The wire protocol version this build speaks (and writes).
+/// The wire protocol version this build speaks, writes and reads.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// The oldest protocol version this build still reads. v1 frames differ
-/// from v2 only by the absence of the appended optional payload fields,
-/// so they decode cleanly under the v2 payload parsers.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Leading frame magic (`"pW"` — parma wire).
 pub const MAGIC: [u8; 2] = *b"pW";
@@ -123,7 +118,7 @@ impl std::fmt::Display for FrameError {
             FrameError::VersionMismatch { got } => write!(
                 f,
                 "protocol version mismatch: peer speaks v{got}, this build reads \
-                 v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}"
+                 v{PROTOCOL_VERSION}"
             ),
             FrameError::BadKind(b) => write!(f, "unknown frame kind {b}"),
             FrameError::TooLarge(n) => {
@@ -196,7 +191,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
         return Err(FrameError::BadMagic([header[0], header[1]]));
     }
     let version = u16::from_le_bytes([header[2], header[3]]);
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(FrameError::VersionMismatch { got: version });
     }
     let kind = MsgKind::from_u8(header[4]).ok_or(FrameError::BadKind(header[4]))?;
@@ -437,12 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_read_under_v2() {
+    fn v1_frames_are_rejected_under_v2() {
         let mut buf = Vec::new();
         write_frame_with_version(&mut buf, 1, MsgKind::Result, b"legacy shard").unwrap();
-        let frame = read_frame(&mut &buf[..]).expect("v1 stays readable");
-        assert_eq!(frame.kind, MsgKind::Result);
-        assert_eq!(frame.payload, b"legacy shard");
+        match read_frame(&mut &buf[..]) {
+            Err(FrameError::VersionMismatch { got: 1 }) => {}
+            other => panic!("expected a version rejection, got {other:?}"),
+        }
     }
 
     #[test]

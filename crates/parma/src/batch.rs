@@ -395,9 +395,8 @@ mod tests {
     #[test]
     fn surplus_threads_flow_to_the_intra_solve_axis_without_changing_bits() {
         // Few large jobs, many threads: ThreadBudget routes the surplus
-        // to each job's structured factorization (dim = 2n−1 = 49 ≥
-        // STRUCTURED_MIN_DIM at n = 25, so the auto dispatch takes the
-        // structured path and the intra pool actually runs). A loose
+        // to each job's factorization (n = 25 horizontal wires span two
+        // CHUNK-row tasks, so the intra pool actually runs). A loose
         // tolerance keeps the solves short; they must still be bitwise
         // identical to the single-thread run.
         let datasets = singles(&measurements(25, 2));

@@ -60,15 +60,18 @@ impl ParmaConfig {
         if !(self.damping > 0.0 && self.damping <= 1.0) {
             return fail(format!("damping must be in (0, 1], got {}", self.damping));
         }
-        if self.tol.is_nan() || self.tol <= 0.0 {
-            return fail(format!("tolerance must be positive, got {}", self.tol));
+        if !(self.tol > 0.0 && self.tol.is_finite()) {
+            return fail(format!(
+                "tolerance must be positive and finite, got {}",
+                self.tol
+            ));
         }
         if self.max_iter == 0 {
             return fail("need at least one iteration".into());
         }
-        if self.min_resistance.is_nan() || self.min_resistance <= 0.0 {
+        if !(self.min_resistance > 0.0 && self.min_resistance.is_finite()) {
             return fail(format!(
-                "minimum resistance must be positive, got {}",
+                "minimum resistance must be positive and finite, got {}",
                 self.min_resistance
             ));
         }
@@ -132,6 +135,13 @@ mod tests {
             ),
             (
                 ParmaConfig {
+                    tol: f64::INFINITY,
+                    ..Default::default()
+                },
+                "tolerance",
+            ),
+            (
+                ParmaConfig {
                     max_iter: 0,
                     ..Default::default()
                 },
@@ -140,6 +150,13 @@ mod tests {
             (
                 ParmaConfig {
                     min_resistance: -1.0,
+                    ..Default::default()
+                },
+                "resistance",
+            ),
+            (
+                ParmaConfig {
+                    min_resistance: f64::INFINITY,
                     ..Default::default()
                 },
                 "resistance",

@@ -1,5 +1,5 @@
 //! Payload codecs for the distributed solve protocol: the byte layouts
-//! carried *inside* `parma-wire/v1` frames (`mea_parallel::dist`).
+//! carried *inside* `parma-wire` frames (`mea_parallel::dist`).
 //!
 //! Everything numeric travels as IEEE-754 bit patterns (`PayloadWriter::
 //! put_f64` writes `to_bits`), so a result decoded on the coordinator is

@@ -471,8 +471,8 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> Result<(), FrameError
     let mut ack = PayloadWriter::new();
     ack.put_u64(id);
     ack.put_u64(policy.heartbeat.interval.as_millis() as u64);
-    // v2 tail (a v1 worker never reads this far): telemetry flags and the
-    // handshake clock probe, echoed on the worker's first beat.
+    // Telemetry flags and the handshake clock probe, echoed on the
+    // worker's first beat.
     ack.put_u8(if mea_obs::is_live() { 1 } else { 0 });
     ack.put_u64(0); // probe seq 0 = the handshake probe
     ack.put_u64(now_us());
@@ -530,7 +530,7 @@ fn dispatch_loop(mut stream: TcpStream, shared: &Shared, id: u64) {
                 if timeout.timed_out() {
                     // Idle keepalive: lets the worker's read deadline see a
                     // live coordinator, and lets us notice a dead worker
-                    // even with no work to hand it. v2 keepalives double as
+                    // even with no work to hand it. Keepalives double as
                     // clock probes — the worker echoes them on its next
                     // beat, re-estimating its offset each round trip.
                     drop(state);
@@ -574,7 +574,7 @@ fn dispatch_loop(mut stream: TcpStream, shared: &Shared, id: u64) {
         let mut payload = PayloadWriter::new();
         payload.put_u64(ticket);
         payload.put_bytes(&blob);
-        // v2 tail: the trace context this dispatch runs under.
+        // The trace context this dispatch runs under.
         payload.put_u64(shared.trace_id);
         payload.put_u64(span_id);
         payload.put_u64(parent_span);
@@ -597,10 +597,11 @@ fn reader_loop(stream: &mut TcpStream, shared: &Shared, id: u64) {
             Ok(frame) => match frame.kind {
                 MsgKind::Heartbeat => {
                     mea_obs::counter_add("parma.dist.heartbeats", 1);
-                    // v2 beats ship telemetry; v1 beats (empty payload)
-                    // are plain keepalives. A beat that fails to decode is
-                    // dropped — telemetry is best-effort, liveness is what
-                    // the frame itself proved.
+                    // Beats ship telemetry; an empty beat (the worker
+                    // dropped its telemetry) is a plain keepalive. A beat
+                    // that fails to decode is dropped — telemetry is
+                    // best-effort, liveness is what the frame itself
+                    // proved.
                     if !frame.payload.is_empty() {
                         if let Ok(beat) = telemetry::TelemetryBeat::decode(&frame.payload) {
                             if let Some(echo) = beat.echo {
@@ -628,12 +629,8 @@ fn reader_loop(stream: &mut TcpStream, shared: &Shared, id: u64) {
                         let ticket = r.take_u64()?;
                         let status = r.take_u8()?;
                         let blob = r.take_bytes()?.to_vec();
-                        // v2 tail: the worker's own solve timestamps.
-                        let stamps = if r.remaining() >= 16 {
-                            Some((r.take_u64()?, r.take_u64()?))
-                        } else {
-                            None
-                        };
+                        // The worker's own solve timestamps.
+                        let stamps = (r.take_u64()?, r.take_u64()?);
                         Ok::<_, mea_parallel::dist::DecodeError>((ticket, status, blob, stamps))
                     })();
                     let Ok((ticket, status, blob, stamps)) = parsed else {
@@ -648,10 +645,7 @@ fn reader_loop(stream: &mut TcpStream, shared: &Shared, id: u64) {
                             .and_then(|r| r.iter_mut().rev().find(|d| d.worker == id))
                         {
                             d.ack_us = t_c_recv;
-                            if let Some((start, end)) = stamps {
-                                d.solve_start_us = start;
-                                d.solve_end_us = end;
-                            }
+                            (d.solve_start_us, d.solve_end_us) = stamps;
                             d.outcome = if status == 0 { "ok" } else { "failed" }.into();
                         }
                     }

@@ -1,10 +1,9 @@
 //! Telemetry and clock-probe payloads carried on `parma-wire/v2`
 //! `Heartbeat` frames.
 //!
-//! v1 heartbeats had empty payloads and meant only "still alive". v2
-//! keeps that meaning (an empty payload is still a valid keepalive) and
-//! adds two *optional* payload shapes, distinguished by a leading tag
-//! byte:
+//! An empty heartbeat payload means only "still alive" (a worker sends
+//! one when it drops telemetry under backpressure). Two payload shapes
+//! add to that, distinguished by a leading tag byte:
 //!
 //! * [`TAG_PROBE`] (coordinator → worker): a clock probe — a sequence
 //!   number and the coordinator's monotonic clock at send time. The
@@ -17,9 +16,6 @@
 //!   cumulative, so a beat dropped under backpressure costs freshness,
 //!   never correctness, and the caps below bound the payload regardless
 //!   of how chatty the worker's instruments are.
-//!
-//! A v1 peer ignores heartbeat payloads entirely, so both shapes are
-//! backward compatible by construction.
 
 use mea_obs::events::{Event, EventKind};
 use mea_obs::fleet::TelemetryUpdate;
@@ -60,7 +56,7 @@ pub fn encode_probe(probe: Probe) -> Vec<u8> {
 }
 
 /// Parses a heartbeat payload as a probe. `None` for empty payloads
-/// (plain v1 keepalives) and payloads of any other shape — probes are
+/// (plain keepalives) and payloads of any other shape — probes are
 /// best-effort, so malformed ones are simply not probes.
 pub fn decode_probe(payload: &[u8]) -> Option<Probe> {
     let mut r = PayloadReader::new(payload);

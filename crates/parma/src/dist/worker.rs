@@ -18,7 +18,7 @@
 //! asked for live telemetry (HelloAck flag), the cadence beats carry a
 //! bounded snapshot of this process's counters, histograms and newest
 //! flight-recorder events; if the writer is busy the payload is
-//! **dropped, never waited for** — the beat degrades to the plain v1
+//! **dropped, never waited for** — the beat degrades to an empty
 //! keepalive and `parma.dist.worker.telemetry_drops` counts the loss.
 //!
 //! # Chaos injection
@@ -126,23 +126,24 @@ pub fn run_worker_with(
         return Err(format!("worker: expected HelloAck, got {:?}", ack.kind));
     }
     let mut r = PayloadReader::new(&ack.payload);
-    let worker_id = r.take_u64().map_err(|e| format!("worker: ack: {e:?}"))?;
-    let interval_ms = r.take_u64().map_err(|e| format!("worker: ack: {e:?}"))?;
-    // v2 tail: telemetry flags plus the handshake clock probe. A v1
-    // coordinator's ack ends right here (`remaining() == 0`).
-    let mut live_telemetry = false;
-    let mut handshake_echo = None;
-    if r.remaining() >= 17 {
-        let flags = r.take_u8().map_err(|e| format!("worker: ack: {e:?}"))?;
-        let seq = r.take_u64().map_err(|e| format!("worker: ack: {e:?}"))?;
-        let t_c_send_us = r.take_u64().map_err(|e| format!("worker: ack: {e:?}"))?;
-        live_telemetry = flags & 1 != 0;
-        handshake_echo = Some(ProbeEcho {
-            seq,
-            t_c_send_us,
-            t_w_recv_us: now_us(),
-        });
-    }
+    // Worker id, heartbeat cadence, telemetry flags and the handshake
+    // clock probe.
+    let (worker_id, interval_ms, flags, seq, t_c_send_us) = (|| {
+        Ok::<_, mea_parallel::dist::DecodeError>((
+            r.take_u64()?,
+            r.take_u64()?,
+            r.take_u8()?,
+            r.take_u64()?,
+            r.take_u64()?,
+        ))
+    })()
+    .map_err(|e| format!("worker: ack: {e:?}"))?;
+    let live_telemetry = flags & 1 != 0;
+    let handshake_echo = ProbeEcho {
+        seq,
+        t_c_send_us,
+        t_w_recv_us: now_us(),
+    };
     if live_telemetry {
         // The coordinator wants telemetry beats: turn the local live
         // instruments on so there is something to ship.
@@ -165,9 +166,9 @@ pub fn run_worker_with(
     let drops = Arc::new(AtomicU64::new(0));
     // Answer the handshake probe at once: this is the offset estimate
     // every dispatch before the first keepalive round trip relies on.
-    if let Some(echo) = handshake_echo {
+    {
         let beat = TelemetryBeat {
-            echo: Some(echo),
+            echo: Some(handshake_echo),
             ..Default::default()
         };
         let mut w = writer.lock().expect("worker writer");
@@ -192,7 +193,7 @@ pub fn run_worker_with(
                         continue;
                     }
                     // Writer busy (a Result or probe echo in flight): drop
-                    // the payload and degrade to the plain v1 keepalive.
+                    // the payload and degrade to an empty keepalive.
                     let n = beat_drops.fetch_add(1, Ordering::Relaxed) + 1;
                     emit_for(
                         EventKind::DistTelemetryDrop,
@@ -224,7 +225,7 @@ pub fn run_worker_with(
         };
         match frame.kind {
             MsgKind::Heartbeat => {
-                // Coordinator keepalive; in v2 it may carry a clock probe,
+                // Coordinator keepalive; it may carry a clock probe,
                 // echoed immediately so the round trip stays tight. (An
                 // echo during a solve waits for the read loop anyway — the
                 // coordinator filters those by their inflated RTT.)
@@ -246,25 +247,23 @@ pub fn run_worker_with(
             }
             MsgKind::Shutdown => break,
             MsgKind::Assign => {
+                // Ticket, task blob, and the trace context this dispatch
+                // runs under.
                 let mut r = PayloadReader::new(&frame.payload);
-                let parsed = r
-                    .take_u64()
-                    .and_then(|t| r.take_bytes().map(|b| (t, b.to_vec())));
-                let Ok((ticket, blob)) = parsed else {
+                let parsed = (|| {
+                    let ticket = r.take_u64()?;
+                    let blob = r.take_bytes()?.to_vec();
+                    let ctx = TraceContext {
+                        trace_id: r.take_u64()?,
+                        span_id: r.take_u64()?,
+                        parent_span: r.take_u64()?,
+                    };
+                    Ok::<_, mea_parallel::dist::DecodeError>((ticket, blob, ctx))
+                })();
+                let Ok((ticket, blob, ctx)) = parsed else {
                     stop.store(true, Ordering::Relaxed);
                     heartbeat.join().ok();
                     return Err("worker: malformed Assign payload".into());
-                };
-                // v2 tail: the trace context this dispatch runs under
-                // (absent from a v1 coordinator's frames).
-                let ctx = if r.remaining() >= 24 {
-                    TraceContext {
-                        trace_id: r.take_u64().unwrap_or(0),
-                        span_id: r.take_u64().unwrap_or(0),
-                        parent_span: r.take_u64().unwrap_or(0),
-                    }
-                } else {
-                    TraceContext::default()
                 };
                 let struck = chaos
                     .as_ref()
@@ -323,7 +322,7 @@ pub fn run_worker_with(
                 payload.put_u64(ticket);
                 payload.put_u8(status);
                 payload.put_bytes(&body);
-                // v2 tail: solve start/end on this worker's clock.
+                // Solve start/end on this worker's clock.
                 payload.put_u64(t_start);
                 payload.put_u64(t_end);
                 let result = encode_frame(MsgKind::Result, &payload.into_bytes());
@@ -373,5 +372,52 @@ mod tests {
         assert!(chaos_plan("w1").is_none(), "unknown phases are ignored");
         std::env::remove_var("PARMA_DIST_CHAOS");
         assert!(chaos_plan("w1").is_none());
+    }
+
+    /// Accepts one worker, answers its Hello with `ack`, then sends
+    /// `assign` (if any) and holds the connection until the worker leaves.
+    fn fake_coordinator(
+        ack: Vec<u8>,
+        assign: Option<Vec<u8>>,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let coordinator = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            assert_eq!(read_frame(&mut s).unwrap().kind, MsgKind::Hello);
+            write_frame(&mut s, MsgKind::HelloAck, &ack).unwrap();
+            if let Some(payload) = assign {
+                write_frame(&mut s, MsgKind::Assign, &payload).unwrap();
+            }
+            while read_frame(&mut s).is_ok() {}
+        });
+        (addr, coordinator)
+    }
+
+    #[test]
+    fn payloads_missing_their_v2_fields_are_malformed() {
+        let handler: &TaskHandler = &|_, _| panic!("no task may reach the handler");
+        // A HelloAck that ends after the worker id and cadence.
+        let mut ack = PayloadWriter::new();
+        ack.put_u64(7);
+        ack.put_u64(10);
+        let (addr, coordinator) = fake_coordinator(ack.into_bytes(), None);
+        let err = run_worker(&addr, "w-ack", handler).unwrap_err();
+        assert!(err.contains("worker: ack: Truncated"), "{err}");
+        coordinator.join().expect("fake coordinator");
+        // A full HelloAck, then an Assign without its trace context.
+        let mut ack = PayloadWriter::new();
+        ack.put_u64(7);
+        ack.put_u64(10);
+        ack.put_u8(0);
+        ack.put_u64(0);
+        ack.put_u64(0);
+        let mut assign = PayloadWriter::new();
+        assign.put_u64(1);
+        assign.put_bytes(b"task");
+        let (addr, coordinator) = fake_coordinator(ack.into_bytes(), Some(assign.into_bytes()));
+        let err = run_worker(&addr, "w-assign", handler).unwrap_err();
+        assert_eq!(err, "worker: malformed Assign payload");
+        coordinator.join().expect("fake coordinator");
     }
 }

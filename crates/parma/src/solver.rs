@@ -178,10 +178,7 @@ impl SolveScratch {
     ///
     /// The embedded factorization workspace runs in sweep-only inverse
     /// scope: the solver's hot path reads only effective resistances, so
-    /// structured large-`n` refactors skip the HH-block gemm entirely.
-    /// (Below the structured dispatch threshold the dense path still
-    /// produces the full inverse — bitwise identical to the historical
-    /// behavior.)
+    /// every refactor skips the HH-block gemm entirely.
     pub fn new() -> Self {
         let mut ws = ForwardWorkspace::empty();
         ws.set_sweep_only(true);
