@@ -228,15 +228,11 @@ fn fig9(full: bool) {
 /// The PR8 I/O ladder (`fig9-io`): dataset ingest time per container —
 /// the naive per-line-allocating text reader, the buffered text reader,
 /// the `parma-bin/v1` binary container through a plain read, and the
-/// binary container through the zero-copy mmap path — at wet-lab scales,
-/// plus the streamed-batch overlap demo: solving ≥ 8 sessions as file
-/// jobs through the executor (`parma::execute`) against the status-quo
-/// sequential load-then-solve loop. Writes `BENCH_PR8.json`
-/// (`parma-bench/kernels-v1`, so `parma bench diff` gates it in CI);
-/// `--quick` keeps the n = 32 rows and a smaller overlap batch.
+/// binary container through the zero-copy mmap path — at wet-lab scales.
+/// Writes `BENCH_PR8.json` (`parma-bench/kernels-v1`, so `parma bench
+/// diff` gates it in CI); `--quick` keeps the n = 32 rows.
 fn fig9_io(quick: bool) {
     use mea_model::{AnomalyConfig, MeaGrid, WetLabDataset};
-    use parma::prelude::*;
     use std::hint::black_box;
 
     let dir = std::env::temp_dir().join("parma-fig9-io");
@@ -331,115 +327,6 @@ fn fig9_io(quick: bool) {
             )
         );
     }
-
-    // Streamed-batch overlap: ≥ 8 sessions, solved three ways. The
-    // sequential baselines load every dataset up front (text, then
-    // binary) before solving; the streamed run hands the same binary
-    // files to the executor as file jobs, whose I/O slots prefetch and
-    // validate while the solves run. On a single hardware thread the
-    // overlap win degenerates to the cheaper ingest; with real cores the
-    // prefetch also hides the load latency itself.
-    // n = 16 keeps the ingest share of each session as large as it gets
-    // (solve cost grows ~n³ against the parser's ~n²), so the overlap
-    // comparison resolves above timer noise even on one hardware thread.
-    let count = 12usize;
-    let n_overlap = 16;
-    println!(
-        "\n=== PR8 streamed batch: {count} sessions at n = {n_overlap}, \
-         {} hardware thread(s) ===",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    );
-    let mut text_paths = Vec::new();
-    let mut bin_paths = Vec::new();
-    for k in 0..count {
-        let session = WetLabDataset::generate(
-            MeaGrid::square(n_overlap),
-            &AnomalyConfig::default(),
-            0xF19 + 1 + k as u64,
-        )
-        .expect("generation is physical");
-        let t = dir.join(format!("stream-{k}.txt"));
-        let b = dir.join(format!("stream-{k}.pbin"));
-        session.save(&t).expect("write text");
-        session.save_binary(&b).expect("write binary");
-        text_paths.push(t);
-        bin_paths.push(b);
-    }
-    let threads = 2usize;
-    let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).expect("valid config");
-    let sup = SupervisorConfig {
-        max_retries: 0,
-        ..Default::default()
-    };
-    let solve = |jobs: &[parma::Job]| {
-        let out = parma::execute(
-            &pipeline,
-            jobs,
-            threads,
-            &sup,
-            &PlanCache::new(),
-            &|_, _| {},
-        );
-        assert!(out.iter().all(|r| r.is_ok()));
-        black_box(out);
-    };
-    let seq = |paths: &[std::path::PathBuf]| {
-        let sessions: Vec<WetLabDataset> = paths
-            .iter()
-            .map(|p| WetLabDataset::load(p).expect("load"))
-            .collect();
-        let jobs: Vec<parma::Job> = sessions
-            .iter()
-            .enumerate()
-            .map(|(i, s)| parma::Job::loaded(i, s))
-            .collect();
-        solve(&jobs);
-    };
-    let streamed = || {
-        let jobs: Vec<parma::Job> = bin_paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| parma::Job::file(i, p.clone()))
-            .collect();
-        solve(&jobs);
-    };
-    // The three modes differ by a few percent of a solve-dominated total,
-    // so back-to-back blocks would let machine drift between blocks drown
-    // the signal. Interleave them round-robin and keep per-mode minima.
-    let (mut seq_text_secs, mut seq_bin_secs, mut streamed_secs) = (f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..outer.max(5) {
-        let ((), t) = time_secs(|| seq(&text_paths));
-        seq_text_secs = seq_text_secs.min(t);
-        let ((), t) = time_secs(|| seq(&bin_paths));
-        seq_bin_secs = seq_bin_secs.min(t);
-        let ((), t) = time_secs(streamed);
-        streamed_secs = streamed_secs.min(t);
-    }
-    println!("{}", row("mode", &["total ms".into(), "vs text".into()]));
-    for (label, secs) in [
-        ("sequential text", seq_text_secs),
-        ("sequential binary", seq_bin_secs),
-        ("streamed binary", streamed_secs),
-    ] {
-        println!(
-            "{}",
-            row(label, &[ms(secs), format!("{:.2}x", seq_text_secs / secs)])
-        );
-    }
-    cells.push(KernelCell {
-        name: "streamed batch (vs text load+solve)",
-        n: n_overlap,
-        dim: count,
-        naive_ms: seq_text_secs * 1e3,
-        opt_ms: streamed_secs * 1e3,
-    });
-    cells.push(KernelCell {
-        name: "streamed batch (vs binary load+solve)",
-        n: n_overlap,
-        dim: count,
-        naive_ms: seq_bin_secs * 1e3,
-        opt_ms: streamed_secs * 1e3,
-    });
 
     let mut json = String::from("{\n");
     json.push_str("  \"schema\": \"parma-bench/kernels-v1\",\n");

@@ -105,6 +105,14 @@ impl Args {
         self.positionals.get(i).map(String::as_str)
     }
 
+    /// The first flag given (in name order) that is not in `known`.
+    pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.values
+            .keys()
+            .map(String::as_str)
+            .find(|key| !known.contains(key))
+    }
+
     /// Raw string value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)

@@ -227,7 +227,9 @@ pub fn convert<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     .map_err(|e| e.to_string())
 }
 
-/// Optional `--key SECS` duration flag (fractional seconds).
+/// Optional `--key SECS` duration flag (fractional seconds). The upper
+/// bound keeps the deadline representable as the u64 milliseconds it
+/// travels to workers in.
 pub(crate) fn deadline_arg(args: &Args, key: &str) -> Result<Option<Duration>, String> {
     let Some(s) = args.get(key) else {
         return Ok(None);
@@ -235,10 +237,13 @@ pub(crate) fn deadline_arg(args: &Args, key: &str) -> Result<Option<Duration>, S
     let secs: f64 = s
         .parse()
         .map_err(|_| format!("flag --{key} has invalid value {s:?}"))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("flag --{key} must be a positive number of seconds"));
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if secs > 0.0 && u64::try_from(d.as_millis()).is_ok() => Ok(Some(d)),
+        _ => Err(format!(
+            "flag --{key} must be a positive number of seconds, at most {}",
+            u64::MAX / 1000
+        )),
     }
-    Ok(Some(Duration::from_secs_f64(secs)))
 }
 
 /// How one dataset file of the batch will be handled, in filename order.
@@ -254,13 +259,12 @@ enum BatchEntry {
 /// `parma batch`: solve every dataset file in a directory concurrently
 /// under the retry/quarantine supervisor. `--journal` appends one fsync'd
 /// JSON line per decided item; `--resume` skips items the journal already
-/// records as solved, bitwise-identically to an uninterrupted run. With
-/// `--stream`, datasets are not preloaded: dedicated I/O slots carved from
-/// the thread budget ([`mea_parallel::IoBudget`]) prefetch and validate
-/// the next files while solves run, so ingest overlaps compute; results
-/// (and failures) are identical to the preloaded path. Any quarantined
-/// item makes the command exit with status [`EXIT_QUARANTINED`] after a
-/// per-taxonomy failure summary.
+/// records as solved, bitwise-identically to an uninterrupted run. Every
+/// file is parsed and validated here, before any solve starts, whichever
+/// path then solves it (in-process or `--workers`); a file that fails is
+/// quarantined without being solved. Any quarantined item makes the
+/// command exit with status [`EXIT_QUARANTINED`] after a per-taxonomy
+/// failure summary.
 pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let dir = args
         .positional(0)
@@ -288,16 +292,8 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         );
     }
     let quiet = args.flag("quiet");
-    let stream = args.flag("stream");
     let workers: usize = args.get_or("workers", 0)?;
     let heartbeat_ms: u64 = args.get_or("heartbeat-ms", 200)?;
-    if workers > 0 && stream {
-        return Err(
-            "--workers ships preloaded datasets to worker processes; drop --stream"
-                .to_string()
-                .into(),
-        );
-    }
     if heartbeat_ms == 0 {
         return Err("--heartbeat-ms must be positive".to_string().into());
     }
@@ -341,7 +337,6 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let mut names: Vec<String> = Vec::with_capacity(paths.len());
     let mut entries: Vec<BatchEntry> = Vec::with_capacity(paths.len());
     let mut sessions: Vec<WetLabDataset> = Vec::new();
-    let mut work_paths: Vec<std::path::PathBuf> = Vec::new();
     let mut work_names: Vec<String> = Vec::new();
     for p in &paths {
         let name = p
@@ -351,12 +346,6 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             .to_string();
         if already_done.get(&name).map(String::as_str) == Some("ok") {
             entries.push(BatchEntry::Skipped);
-        } else if stream {
-            // Streamed runs defer loading to the I/O slots; ingest
-            // failures come back as quarantined items from the runner.
-            entries.push(BatchEntry::Work(work_paths.len()));
-            work_paths.push(p.clone());
-            work_names.push(name.clone());
         } else {
             match WetLabDataset::load(p) {
                 Ok(session) => {
@@ -542,19 +531,11 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             fleet_slot: Some(&fleet_slot),
         })
     } else {
-        let jobs: Vec<Job> = if stream {
-            work_paths
-                .iter()
-                .enumerate()
-                .map(|(i, path)| Job::file(i, path.clone()))
-                .collect()
-        } else {
-            sessions
-                .iter()
-                .enumerate()
-                .map(|(i, session)| Job::loaded(i, session))
-                .collect()
-        };
+        let jobs: Vec<Job> = sessions
+            .iter()
+            .enumerate()
+            .map(|(i, session)| Job::loaded(i, session))
+            .collect();
         Ok(execute(&pipeline, &jobs, threads, &sup, &plans, &on_done))
     };
     let elapsed = t0.elapsed();

@@ -56,11 +56,14 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), CliErro
     // subcommand with file operands; every other command is pure
     // `--key value`.
     let args = match command {
-        "batch" => Args::parse_with_switches(&raw[1..], &["resume", "quiet", "stream"]),
+        "batch" => Args::parse_with_switches(&raw[1..], &["resume", "quiet"]),
         "bench" | "convert" | "obs" => Args::parse_with_positionals(&raw[1..]),
         _ => Args::parse(&raw[1..]),
     }
     .map_err(|e| CliError::from(format!("{e}\n\n{}", usage())))?;
+    if let Some(flag) = flags_read_by(command).and_then(|known| args.unknown_flag(known)) {
+        return Err(format!("unknown flag --{flag} for parma {command}\n\n{}", usage()).into());
+    }
     match command {
         "generate" => commands::generate(&args, out).map_err(CliError::from),
         "solve" => commands::solve(&args, out).map_err(CliError::from),
@@ -81,6 +84,64 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), CliErro
     }
 }
 
+/// Every flag a command's code reads; `None` for an unknown command.
+fn flags_read_by(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &["n", "rows", "cols", "seed", "regions", "out"],
+        "solve" => &[
+            "input",
+            "strategy",
+            "threads",
+            "tol",
+            "detect",
+            "prominence",
+            "trace",
+        ],
+        "convert" => &["to"],
+        "batch" => &[
+            "threads",
+            "tol",
+            "detect",
+            "trace",
+            "journal",
+            "resume",
+            "max-retries",
+            "deadline",
+            "solve-deadline",
+            "backoff-ms",
+            "metrics-addr",
+            "metrics-addr-file",
+            "metrics-linger",
+            "quiet",
+            "workers",
+            "heartbeat-ms",
+        ],
+        "serve" => &[
+            "addr",
+            "addr-file",
+            "threads",
+            "queue",
+            "tol",
+            "detect",
+            "max-retries",
+            "solve-deadline",
+            "backoff-ms",
+            "journal",
+            "hold-ms",
+            "for",
+            "workers-addr",
+            "workers-addr-file",
+        ],
+        "worker" => &["connect", "name", "metrics-addr", "metrics-addr-file"],
+        "bench" => &["tolerance"],
+        "topology" => &["n", "rows", "cols"],
+        "equations" => &["n", "rows", "cols", "seed", "out"],
+        "verify" => &["n", "rows", "cols", "input"],
+        "obs" | "--help" | "-h" | "help" => &[],
+        _ => return None,
+    })
+}
+
 /// The usage text.
 pub fn usage() -> String {
     "\
@@ -94,7 +155,7 @@ USAGE:
                                      residual curves, scheduler stats)
   parma convert   <in> <out> [--to text|binary]
   parma batch     <dir> [--threads T] [--tol E] [--detect F] [--trace <file>|-]
-                  [--stream] [--journal <file>] [--resume] [--max-retries N]
+                  [--journal <file>] [--resume] [--max-retries N]
                   [--deadline S] [--solve-deadline S] [--backoff-ms MS]
                   [--metrics-addr HOST:PORT] [--metrics-addr-file <file>]
                   [--metrics-linger S] [--quiet]
@@ -123,10 +184,9 @@ COMMANDS:
   batch      solve every dataset in a directory concurrently (one session per
              worker; results are deterministic and in filename order), with
              panic isolation, per-item retries (--max-retries, --backoff-ms)
-             and deadlines (--deadline, --solve-deadline, in seconds);
-             --stream skips preloading: dedicated I/O slots carved from the
-             thread budget prefetch + validate the next datasets (text or
-             binary) while solves run, with identical results and failures;
+             and deadlines (--deadline, --solve-deadline, in seconds); every
+             file (text or binary) is parsed and validated before solving
+             starts, and a file that fails is quarantined unsolved;
              with --journal every finished item is fsync'd to an append-only
              JSON-lines sidecar and --resume skips already-journaled items;
              exits with status 3 when any item is quarantined; with
@@ -414,48 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_stream_matches_the_preloaded_path() {
-        let dir = std::env::temp_dir().join("parma-cli-batch-stream");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, seed) in [("a.txt", 31u64), ("b.txt", 32), ("c.txt", 33)] {
-            run_str(&[
-                "generate",
-                "--n",
-                "4",
-                "--seed",
-                &seed.to_string(),
-                "--out",
-                dir.join(name).to_str().unwrap(),
-            ])
-            .unwrap();
-        }
-        // Convert one file to binary so the stream crosses both formats.
-        run_str(&[
-            "convert",
-            dir.join("b.txt").to_str().unwrap(),
-            dir.join("b.pbin").to_str().unwrap(),
-        ])
-        .unwrap();
-        std::fs::remove_file(dir.join("b.txt")).unwrap();
-        let plain = run_str(&["batch", dir.to_str().unwrap(), "--threads", "2"]).unwrap();
-        let streamed =
-            run_str(&["batch", dir.to_str().unwrap(), "--threads", "2", "--stream"]).unwrap();
-        assert!(streamed.contains("12 solves"), "{streamed}");
-        assert!(streamed.contains("0 failure(s)"), "{streamed}");
-        // The per-item report lines (iterations, residuals, anomalies)
-        // must agree exactly; only the timing line may differ.
-        let items = |text: &str| -> Vec<String> {
-            text.lines()
-                .filter(|l| l.contains("time points"))
-                .map(|l| l.to_string())
-                .collect()
-        };
-        assert_eq!(items(&plain), items(&streamed));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn batch_requires_a_directory_operand() {
         let err = run_str(&["batch"]).unwrap_err();
         assert!(err.contains("missing dataset directory"), "{err}");
@@ -585,7 +603,60 @@ mod tests {
 
     #[test]
     fn bad_flag_reports_usage() {
-        let err = run_str(&["generate", "--n"]).unwrap_err();
-        assert!(err.contains("USAGE"));
+        let dir = std::env::temp_dir().join("parma-cli-bad-flag");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("session.txt");
+        run_str(&["generate", "--n", "4", "--out", data.to_str().unwrap()]).unwrap();
+        let d = dir.to_str().unwrap();
+        // `--for` bounds a serve that wrongly accepted its flags.
+        for (args, flag) in [
+            (&["generate", "--n"][..], "--n"),
+            (&["batch", d, "--stream"], "--stream"),
+            (&["batch", d, "--stream", "--quiet"], "--stream"),
+            (&["batch", d, "--treads", "1"], "--treads"),
+            (
+                &["serve", "--adress", "127.0.0.1:0", "--for", "0.1"],
+                "--adress",
+            ),
+        ] {
+            let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&raw, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}: {}", err.message);
+            assert!(err.message.contains("USAGE"), "{args:?}: {}", err.message);
+            assert!(err.message.contains(flag), "{args:?}: {}", err.message);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn huge_deadlines_are_flag_errors_not_panics() {
+        let dir = std::env::temp_dir().join("parma-cli-huge-deadline");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("session.txt");
+        run_str(&["generate", "--n", "4", "--out", data.to_str().unwrap()]).unwrap();
+        let d = dir.to_str().unwrap();
+        let serve = [
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--for",
+            "0.1",
+            "--solve-deadline",
+            "1e300",
+        ];
+        for (args, flag) in [
+            (&["batch", d, "--deadline", "1e300"][..], "--deadline"),
+            (
+                &["batch", d, "--solve-deadline", "1e20"],
+                "--solve-deadline",
+            ),
+            (&serve, "--solve-deadline"),
+        ] {
+            let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&raw, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.code, 2, "{args:?}: {}", err.message);
+            assert!(err.message.contains(flag), "{args:?}: {}", err.message);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -241,3 +241,25 @@ pub fn scrape_counter(addr: SocketAddr, name: &str) -> u64 {
         .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
         .unwrap_or(0)
 }
+
+/// Journal entry lines with worker provenance stripped, sorted. Sorting
+/// (rather than keeping file order) is deliberate: completion *order*
+/// varies with the shard layout; completion *content* may not.
+pub fn canonical_lines(journal: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(journal).expect("read journal");
+    let mut lines: Vec<String> = text
+        .lines()
+        .filter(|l| l.contains("\"schema\":\"parma-journal/v1\""))
+        .map(|line| {
+            let Some(i) = line.find(",\"worker\":") else {
+                return line.to_string();
+            };
+            let tail = &line[i + ",\"worker\":".len()..];
+            let digits = tail.chars().take_while(char::is_ascii_digit).count();
+            assert!(digits > 0, "malformed worker field in {line:?}");
+            format!("{}{}", &line[..i], &tail[digits..])
+        })
+        .collect();
+    lines.sort();
+    lines
+}

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{fresh_dir, generate, parma};
+use common::{canonical_lines, fresh_dir, generate, parma};
 use std::path::Path;
 use std::process::Stdio;
 
@@ -43,28 +43,6 @@ fn run_batch(data: &Path, journal: &Path, workers: usize, chaos: Option<&str>) {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-}
-
-/// Journal entry lines with worker provenance stripped, sorted. Sorting
-/// (rather than keeping file order) is deliberate: completion *order*
-/// varies with the shard layout; completion *content* may not.
-fn canonical_lines(journal: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(journal).expect("read journal");
-    let mut lines: Vec<String> = text
-        .lines()
-        .filter(|l| l.contains("\"schema\":\"parma-journal/v1\""))
-        .map(|line| {
-            let Some(i) = line.find(",\"worker\":") else {
-                return line.to_string();
-            };
-            let tail = &line[i + ",\"worker\":".len()..];
-            let digits = tail.chars().take_while(char::is_ascii_digit).count();
-            assert!(digits > 0, "malformed worker field in {line:?}");
-            format!("{}{}", &line[..i], &tail[digits..])
-        })
-        .collect();
-    lines.sort();
-    lines
 }
 
 #[test]

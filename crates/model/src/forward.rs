@@ -29,41 +29,30 @@ use mea_linalg::{
 };
 
 /// Reusable scratch for [`ForwardSolver::refactor`]: the structured
-/// bipartite system, its factor and the reduced inverse, all sized for a
-/// single geometry. One workspace amortizes every per-iteration allocation
-/// of the forward factorization; it resizes itself if handed a different
-/// geometry (the inverse scope survives resizing).
+/// bipartite system and its factor. One workspace amortizes every
+/// per-iteration allocation of the forward factorization; its buffers
+/// size themselves to the geometry of each refactor (the inverse scope
+/// survives resizing).
 #[derive(Clone, Debug)]
 pub struct ForwardWorkspace {
-    reduced_inv: DenseMatrix,
     sys: BipartiteSystem,
     bip: BipartiteFactor,
     sweep_only: bool,
 }
 
 impl ForwardWorkspace {
-    /// A workspace sized for `grid` (grounded order `m + n − 1`).
-    pub fn new(grid: MeaGrid) -> Self {
-        Self::with_dim(grid.rows() + grid.cols() - 1)
+    /// A workspace for `grid`: the same as [`Self::empty`], since the
+    /// buffers size themselves on the first refactor.
+    pub fn new(_grid: MeaGrid) -> Self {
+        Self::empty()
     }
 
     /// An unsized workspace; buffers grow on first use.
     pub fn empty() -> Self {
-        Self::with_dim(0)
-    }
-
-    fn with_dim(dim: usize) -> Self {
         ForwardWorkspace {
-            reduced_inv: DenseMatrix::zeros(dim, dim),
             sys: BipartiteSystem::new(),
             bip: BipartiteFactor::new(),
             sweep_only: false,
-        }
-    }
-
-    fn ensure(&mut self, dim: usize) {
-        if self.reduced_inv.rows() != dim {
-            self.reduced_inv = DenseMatrix::zeros(dim, dim);
         }
     }
 
@@ -134,7 +123,8 @@ pub struct ForwardSolver {
     /// Conductances g = 1/R, row-major (kept for residual checks).
     conductances: Vec<f64>,
     /// Pseudo-inverse surrogate: the inverse of the grounded Laplacian,
-    /// zero-padded back to full node order (ground row/col are zero).
+    /// order `m + n − 1`. The grounded node (vertical wire `n − 1`, node
+    /// index `m + n − 1`) has no row or column; [`Self::inv`] reads it as 0.
     minv: DenseMatrix,
     /// Whether `minv` carries the full HH block. False only after a
     /// sweep-scope refactor; the full-field queries
@@ -174,11 +164,11 @@ impl ForwardSolver {
         should_stop: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Result<Self, LinalgError> {
         let grid = r.grid();
-        let nodes = grid.rows() + grid.cols();
+        let dim = grid.rows() + grid.cols() - 1;
         let mut solver = ForwardSolver {
             grid,
             conductances: vec![0.0; grid.crossings()],
-            minv: DenseMatrix::zeros(nodes, nodes),
+            minv: DenseMatrix::zeros(dim, dim),
             hh_full: true,
         };
         solver.refactor_supervised(r, ws, par, should_stop)?;
@@ -226,12 +216,10 @@ impl ForwardSolver {
         }
         let _span = mea_obs::span("refactor");
         let (m, n) = (self.grid.rows(), self.grid.cols());
-        // Grounded Laplacian: drop the last node (vertical wire n−1).
-        let dim = m + n - 1;
-        ws.ensure(dim);
         for (g, &x) in self.conductances.iter_mut().zip(r.as_slice()) {
             *g = 1.0 / x;
         }
+        // Grounded Laplacian: drop the last node (vertical wire n−1).
         ws.sys.reset(m, n - 1);
         for i in 0..m {
             for j in 0..n {
@@ -251,15 +239,21 @@ impl ForwardSolver {
         {
             let _s = mea_obs::span("factor");
             ws.bip
-                .factor_invert_into(&ws.sys, &mut ws.reduced_inv, scope, par, should_stop)?;
+                .factor_invert_into(&ws.sys, &mut self.minv, scope, par, should_stop)?;
         }
         self.hh_full = !ws.sweep_only;
-        // Zero-pad to full node order (the ground row/column of minv are
-        // written once at construction and never touched again).
-        for a in 0..dim {
-            self.minv.row_mut(a)[..dim].copy_from_slice(&ws.reduced_inv.row(a)[..dim]);
-        }
         Ok(())
+    }
+
+    /// Entry `(x, y)` of the grounded inverse in full node order: the
+    /// grounded node's row and column read as 0.
+    fn inv(&self, x: usize, y: usize) -> f64 {
+        let ground = self.minv.rows();
+        if x == ground || y == ground {
+            0.0
+        } else {
+            self.minv[(x, y)]
+        }
     }
 
     /// Whether the current factorization carries the full HH inverse
@@ -281,7 +275,13 @@ impl ForwardSolver {
         );
         let a = i;
         let b = self.grid.rows() + j;
-        self.minv[(a, a)] + self.minv[(b, b)] - 2.0 * self.minv[(a, b)]
+        // The solver's hot loop: one branch, as only `b` can be grounded.
+        let (bb, ab) = if b < self.minv.rows() {
+            (self.minv[(b, b)], self.minv[(a, b)])
+        } else {
+            (0.0, 0.0)
+        };
+        self.minv[(a, a)] + bb - 2.0 * ab
     }
 
     /// The full measured-impedance matrix `Z = F(R)`.
@@ -316,9 +316,9 @@ impl ForwardSolver {
         // are gauge-shifted so u(b) = 0 and scaled so u(a) − u(b) = voltage.
         let z = self.effective_resistance(i, j);
         let c = voltage / z;
-        let wb = self.minv[(b, a)] - self.minv[(b, b)];
+        let wb = self.inv(b, a) - self.inv(b, b);
         let potentials: Vec<f64> = (0..nodes)
-            .map(|x| c * ((self.minv[(x, a)] - self.minv[(x, b)]) - wb))
+            .map(|x| c * ((self.inv(x, a) - self.inv(x, b)) - wb))
             .collect();
         PairPotentials {
             grid: self.grid,
@@ -355,7 +355,7 @@ impl ForwardSolver {
         // u_x = M[x,a] − M[x,b] (unit-current potentials, grounded gauge —
         // gauge constants cancel in the (u_k − u_l) differences).
         let u: Vec<f64> = (0..m + n)
-            .map(|x| self.minv[(x, a)] - self.minv[(x, b)])
+            .map(|x| self.inv(x, a) - self.inv(x, b))
             .collect();
         let mut out = CrossingMatrix::filled(self.grid, 0.0);
         for k in 0..m {

@@ -82,13 +82,6 @@ pub enum EventKind {
     Steal,
     /// A worker caught a panic.
     Panic,
-    /// The streaming loader ingested a dataset (`value` = load ms,
-    /// `info` = 1 when the consumer found it prefetched, 0 when it had
-    /// to load it itself).
-    Ingest,
-    /// The streaming loader failed to ingest a dataset (`value` = ms
-    /// spent before the failure).
-    IngestFailed,
     /// The coordinator dispatched a shard (`item` = ticket, `info` =
     /// worker id).
     DistDispatch,
@@ -124,8 +117,6 @@ impl EventKind {
             EventKind::Quarantine => "quarantine",
             EventKind::Steal => "steal",
             EventKind::Panic => "panic",
-            EventKind::Ingest => "ingest",
-            EventKind::IngestFailed => "ingest_failed",
             EventKind::DistDispatch => "dist_dispatch",
             EventKind::DistReassign => "dist_reassign",
             EventKind::DistWorkerJoin => "dist_worker_join",
@@ -137,7 +128,8 @@ impl EventKind {
     }
 
     /// Stable wire code — the byte the dist telemetry codec ships event
-    /// tails under. Codes are append-only, like the enum itself.
+    /// tails under. Codes are append-only: a retired kind's code is never
+    /// reused.
     pub fn code(self) -> u8 {
         match self {
             EventKind::SolveStart => 1,
@@ -149,8 +141,7 @@ impl EventKind {
             EventKind::Quarantine => 7,
             EventKind::Steal => 8,
             EventKind::Panic => 9,
-            EventKind::Ingest => 10,
-            EventKind::IngestFailed => 11,
+            // 10 and 11 (ingest events of a deleted loader) are retired.
             EventKind::DistDispatch => 12,
             EventKind::DistReassign => 13,
             EventKind::DistWorkerJoin => 14,
@@ -173,8 +164,6 @@ impl EventKind {
             7 => EventKind::Quarantine,
             8 => EventKind::Steal,
             9 => EventKind::Panic,
-            10 => EventKind::Ingest,
-            11 => EventKind::IngestFailed,
             12 => EventKind::DistDispatch,
             13 => EventKind::DistReassign,
             14 => EventKind::DistWorkerJoin,

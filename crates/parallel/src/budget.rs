@@ -49,41 +49,6 @@ impl ThreadBudget {
     }
 }
 
-/// A thread budget carved between dataset ingestion (I/O) and compute —
-/// the PR 8 companion to [`ThreadBudget`]: where `ThreadBudget` splits
-/// compute between the batch and intra-solve axes, `IoBudget` first sets
-/// aside the slots that keep the solve workers fed.
-///
-/// Like `ThreadBudget::split`, the carve is arithmetic on sizes only —
-/// deterministic per total, never fed back from scheduling — so a given
-/// budget always produces the same shape and thread placement cannot
-/// change results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IoBudget {
-    /// Total threads available.
-    pub total: usize,
-    /// Dedicated ingest (prefetch + validate) threads.
-    pub io: usize,
-    /// Threads left for the compute pool.
-    pub compute: usize,
-}
-
-impl IoBudget {
-    /// Carves `total` threads: ingestion gets one slot per eight threads,
-    /// clamped to [1, 2] — loading is mostly waiting on storage, so a
-    /// thin I/O side keeps up with many solvers — and compute keeps the
-    /// rest. Both sides are always ≥ 1: on a single-thread budget the
-    /// two slots deliberately timeshare (the I/O thread blocks in read
-    /// syscalls, so oversubscription there costs scheduling noise, not
-    /// solve throughput).
-    pub fn carve(total: usize) -> IoBudget {
-        let total = total.max(1);
-        let io = (total / 8).clamp(1, 2);
-        let compute = (total - io).max(1);
-        IoBudget { total, io, compute }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,53 +95,6 @@ mod tests {
                 inner: 1
             }
         );
-    }
-
-    #[test]
-    fn io_carve_is_deterministic_and_always_leaves_compute() {
-        assert_eq!(
-            IoBudget::carve(1),
-            IoBudget {
-                total: 1,
-                io: 1,
-                compute: 1
-            },
-            "a 1-thread budget timeshares"
-        );
-        assert_eq!(
-            IoBudget::carve(4),
-            IoBudget {
-                total: 4,
-                io: 1,
-                compute: 3
-            }
-        );
-        assert_eq!(
-            IoBudget::carve(8),
-            IoBudget {
-                total: 8,
-                io: 1,
-                compute: 7
-            }
-        );
-        assert_eq!(
-            IoBudget::carve(16),
-            IoBudget {
-                total: 16,
-                io: 2,
-                compute: 14
-            }
-        );
-        assert_eq!(
-            IoBudget::carve(64),
-            IoBudget {
-                total: 64,
-                io: 2,
-                compute: 62
-            },
-            "the I/O side never grows past two slots"
-        );
-        assert_eq!(IoBudget::carve(0), IoBudget::carve(1), "degenerate clamps");
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod strategy;
 pub mod supervise;
 
 pub use balanced::partition_lpt;
-pub use budget::{IoBudget, ThreadBudget};
+pub use budget::ThreadBudget;
 pub use dist::{
     read_frame, shard_ranges, write_frame, Frame, FrameError, HeartbeatPolicy, MsgKind,
     PayloadReader, PayloadWriter, PROTOCOL_VERSION,

@@ -1,7 +1,7 @@
 //! The job executor: the one path every role runs device sessions
-//! through — `parma batch` (preloaded and `--stream`), the sharded
-//! batch's in-process fallback, each `parma worker` task and each
-//! `parma serve` job.
+//! through — `parma batch`, the sharded batch's in-process fallback, each
+//! `parma worker` task and each `parma serve` job. Every role parses its
+//! datasets at its own edge; the executor solves in-memory sessions only.
 //!
 //! [`execute`] schedules whole sessions on a `mea_parallel::WorkStealingPool`
 //! under the supervisor (`crate::supervisor`: panic isolation, retries
@@ -12,16 +12,12 @@
 //! intra-solve axis, capped per job by its Betti parallelism bound β₁
 //! ([`crate::betti`]). Intra-solve workers parallelize the structured
 //! *factorization* stages; sweeps run under the configured strategy
-//! (single-threaded by default). Jobs read from
-//! files ([`Source::File`]) first carve I/O slots off the budget
-//! ([`IoBudget`]) for a [`StreamingLoader`] that prefetches while other
-//! jobs solve.
+//! (single-threaded by default).
 //!
 //! What every role needs around a solve lives here once: plan reuse
 //! through the caller's process-lifetime [`PlanCache`], one
 //! [`SolveScratch`] per pool worker, the supervisor's escalation ladder
-//! and chaos injection, ingest failure rules, and failure reports keyed
-//! by the caller's job id.
+//! and chaos injection, and failure reports keyed by the caller's job id.
 //!
 //! # Determinism
 //!
@@ -33,33 +29,17 @@
 //! between attempts. Thread count — on either axis — worker placement
 //! and steal interleavings affect wall time only, never bits.
 
-use crate::error::ParmaError;
 use crate::pipeline::{Pipeline, TimePointResult};
 use crate::plan_cache::PlanCache;
 use crate::solver::SolveScratch;
-use crate::stream::{IngestError, StreamingLoader};
 use crate::supervisor::{supervise, FailureReport, SupervisorConfig};
 use mea_model::{MeaGrid, ResistorGrid, WetLabDataset, ZMatrix};
-use mea_parallel::{CancelToken, Interrupt, IoBudget, ThreadBudget, WorkStealingPool};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use mea_parallel::{ThreadBudget, WorkStealingPool};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Wall-clock per job attempt (ms).
 static ITEM_MS: mea_obs::hist::Hist = mea_obs::hist::Hist::new("parma.batch.item_ms");
-
-/// Where a job's dataset comes from.
-#[derive(Clone, Debug)]
-pub enum Source<'a> {
-    /// Already in memory.
-    Loaded(&'a WetLabDataset),
-    /// A dataset file, loaded and validated by the executor's I/O slots
-    /// while other jobs solve. A file that fails ingest is quarantined as
-    /// `non_finite_input` with no retries; the loaded dataset is kept
-    /// across retry attempts, except when the take itself was interrupted
-    /// (reported as a timeout or cancellation, and reloaded on retry).
-    File(PathBuf),
-}
 
 /// One device session to solve.
 #[derive(Clone, Debug)]
@@ -67,8 +47,8 @@ pub struct Job<'a> {
     /// The caller's id for this job. Failure reports, `on_done`, chaos
     /// draws and flight-recorder events are keyed by it.
     pub id: usize,
-    /// The session's dataset.
-    pub source: Source<'a>,
+    /// The session's dataset, already parsed and validated by the caller.
+    pub dataset: &'a WetLabDataset,
     /// Seeds hour 0 from a previous session's `(resistors, impedances)`
     /// pair; a seed of another geometry is ignored (cold start).
     pub warm: Option<(ResistorGrid, ZMatrix)>,
@@ -79,16 +59,7 @@ impl<'a> Job<'a> {
     pub fn loaded(id: usize, dataset: &'a WetLabDataset) -> Self {
         Job {
             id,
-            source: Source::Loaded(dataset),
-            warm: None,
-        }
-    }
-
-    /// A cold job over a dataset file.
-    pub fn file(id: usize, path: PathBuf) -> Self {
-        Job {
-            id,
-            source: Source::File(path),
+            dataset,
             warm: None,
         }
     }
@@ -111,32 +82,7 @@ pub fn execute(
     on_done: &(dyn Fn(usize, &Outcome) + Sync),
 ) -> Vec<Outcome> {
     let _span = mea_obs::span("parma/batch");
-    // File jobs stream through one loader; `slots[k]` is job k's index
-    // in it.
-    let mut files = Vec::new();
-    let slots: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|job| match &job.source {
-            Source::Loaded(_) => None,
-            Source::File(path) => {
-                files.push(path.clone());
-                Some(files.len() - 1)
-            }
-        })
-        .collect();
-    let mut compute = threads.max(1);
-    let mut loader = None;
-    if !files.is_empty() {
-        let io = IoBudget::carve(threads);
-        compute = io.compute;
-        // Window: every compute worker can have one job in flight plus a
-        // full I/O side of lookahead — bounded memory, never gates takes.
-        loader = Some(StreamingLoader::start(files, io.io, io.compute + io.io + 1));
-    }
-    // Each file job's load, kept across its retry attempts.
-    let loaded: Vec<OnceLock<Result<Arc<WetLabDataset>, IngestError>>> =
-        slots.iter().flatten().map(|_| OnceLock::new()).collect();
-    let budget = ThreadBudget::split(compute, jobs.len());
+    let budget = ThreadBudget::split(threads, jobs.len());
     let pool = WorkStealingPool::new(budget.outer);
     let spare: Mutex<Vec<(MeaGrid, SolveScratch)>> = Mutex::new(Vec::new());
     let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
@@ -148,16 +94,7 @@ pub fn execute(
         &|k, escalation, token| {
             let _item = mea_obs::span("parma/batch/item");
             let job = &jobs[k];
-            let file;
-            let dataset: &WetLabDataset = match (&job.source, &loader) {
-                (Source::Loaded(ds), _) => ds,
-                (Source::File(_), Some(loader)) => {
-                    let slot = slots[k].expect("file jobs have a loader slot");
-                    file = ingest(loader, slot, &loaded[slot], token)?;
-                    &file
-                }
-                (Source::File(_), None) => unreachable!("file jobs start the loader"),
-            };
+            let dataset = job.dataset;
             let mut scratch = take_scratch(&spare, dataset.grid);
             scratch.set_intra_threads(intra_width(&budget, dataset.grid));
             let t0 = Instant::now();
@@ -201,39 +138,6 @@ fn take_scratch(spare: &Mutex<Vec<(MeaGrid, SolveScratch)>>, grid: MeaGrid) -> S
     }
 }
 
-/// Takes file job `slot` from the loader, caching the load across retry
-/// attempts. An ingest failure surfaces as [`ParmaError::Dataset`]
-/// (`non_finite_input`, never retried); an interrupted take reports the
-/// interrupt and stays uncached, so a retry reloads.
-fn ingest(
-    loader: &StreamingLoader,
-    slot: usize,
-    cache: &OnceLock<Result<Arc<WetLabDataset>, IngestError>>,
-    token: &CancelToken,
-) -> Result<Arc<WetLabDataset>, ParmaError> {
-    loop {
-        if let Some(cached) = cache.get() {
-            return cached
-                .clone()
-                .map_err(|e| ParmaError::Dataset(e.into_dataset_error()));
-        }
-        match loader.take(slot, token) {
-            Err(IngestError::Interrupted(Interrupt::Cancelled)) => {
-                return Err(ParmaError::Cancelled { iterations: 0 })
-            }
-            Err(IngestError::Interrupted(Interrupt::TimedOut)) => {
-                return Err(ParmaError::Timeout {
-                    iterations: 0,
-                    partial: None,
-                })
-            }
-            res => {
-                let _ = cache.set(res);
-            }
-        }
-    }
-}
-
 /// Emits the batch counters and the job-ordered wall-time series
 /// (`parma.batch.items`, `parma.batch.failures`, `parma.batch.item_ms` —
 /// the schema the golden-trace test pins), attempts beyond the first
@@ -270,6 +174,7 @@ fn intra_width(budget: &ThreadBudget, grid: MeaGrid) -> usize {
 mod tests {
     use super::*;
     use crate::config::ParmaConfig;
+    use crate::error::ParmaError;
     use crate::solver::{ParmaSolution, ParmaSolver};
     use crate::supervisor::FailureKind;
     use mea_model::{AnomalyConfig, CrossingMatrix, ForwardSolver, Measurement};
@@ -673,105 +578,6 @@ mod tests {
         let (hits, misses) = plans.stats();
         assert_eq!(misses, 1);
         assert_eq!(hits, 5, "every other session attempt hits");
-    }
-
-    fn write_sessions(dir: &std::path::Path, seed: u64, count: u64) -> Vec<PathBuf> {
-        std::fs::create_dir_all(dir).unwrap();
-        (0..count)
-            .map(|k| {
-                let ds = WetLabDataset::generate(
-                    MeaGrid::square(4),
-                    &AnomalyConfig::default(),
-                    seed + k,
-                )
-                .unwrap();
-                let path = dir.join(format!("s{k}.pbin"));
-                ds.save_binary(&path).unwrap();
-                path
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streamed_sessions_match_preloaded_sessions_bitwise() {
-        // Solving from a mixed text/binary directory through the streaming
-        // loader is bitwise identical to preloading every dataset first.
-        let dir = std::env::temp_dir().join("parma-batch-streamed");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut paths = Vec::new();
-        let mut datasets = Vec::new();
-        for k in 0..6u64 {
-            let ds = WetLabDataset::generate(MeaGrid::square(4), &AnomalyConfig::default(), 30 + k)
-                .unwrap();
-            let path = if k % 2 == 0 {
-                let p = dir.join(format!("s{k}.pbin"));
-                ds.save_binary(&p).unwrap();
-                p
-            } else {
-                let p = dir.join(format!("s{k}.txt"));
-                ds.save(&p).unwrap();
-                p
-            };
-            paths.push(path);
-            datasets.push(ds);
-        }
-        let p = pipeline(ParmaConfig::default());
-        let preloaded = run(&p, &datasets, 3, &no_retries());
-        let files: Vec<Job> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, path)| Job::file(i, path.clone()))
-            .collect();
-        let streamed = execute(&p, &files, 3, &no_retries(), &PlanCache::new(), &|_, r| {
-            assert!(r.is_ok())
-        });
-        assert_eq!(preloaded.len(), streamed.len());
-        for (d, (a, b)) in preloaded.iter().zip(&streamed).enumerate() {
-            assert_sessions_bitwise(
-                a.as_ref().unwrap(),
-                b.as_ref().unwrap(),
-                &format!("dataset {d}"),
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streamed_ingest_failures_quarantine_without_retries_or_spread() {
-        let dir = std::env::temp_dir().join("parma-batch-streamed-bad");
-        let mut paths = write_sessions(&dir, 40, 3);
-        // Job 1: flip a payload byte — the checksum pass must catch it.
-        let corrupt = dir.join("corrupt.pbin");
-        let mut bytes = std::fs::read(&paths[1]).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x80;
-        std::fs::write(&corrupt, &bytes).unwrap();
-        paths[1] = corrupt;
-        // Job 3: missing file.
-        paths.push(dir.join("missing.pbin"));
-        let jobs: Vec<Job> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, path)| Job::file(i, path.clone()))
-            .collect();
-        let out = execute(
-            &pipeline(ParmaConfig::default()),
-            &jobs,
-            2,
-            &SupervisorConfig::default(),
-            &PlanCache::new(),
-            &|_, _| {},
-        );
-        assert_eq!(out.len(), 4);
-        for i in [1usize, 3] {
-            let report = out[i].as_ref().unwrap_err();
-            assert_eq!(report.kind, FailureKind::NonFiniteInput);
-            assert_eq!(report.attempts.len(), 1, "ingest failures get no retries");
-        }
-        for i in [0usize, 2] {
-            assert!(out[i].is_ok(), "healthy job {i} must complete");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

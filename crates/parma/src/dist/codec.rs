@@ -218,7 +218,7 @@ pub fn encode_failure(report: &FailureReport) -> Vec<u8> {
         w.put_u8(failure_kind_code(a.kind));
         w.put_str(&a.detail);
     }
-    // Optional tail (absent in pre-v2 blobs): the embedded events.
+    // The event tail, which the decoder requires.
     w.put_u64(report.events.len() as u64);
     for e in &report.events {
         w.put_u64(e.seq);
@@ -231,8 +231,8 @@ pub fn encode_failure(report: &FailureReport) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes a quarantine result blob. A pre-v2 blob simply ends
-/// before the event tail and decodes with an empty `events` array.
+/// Deserializes a quarantine result blob, event tail included (a blob
+/// cut short before it is [`DecodeError::Truncated`]).
 pub fn decode_failure(bytes: &[u8]) -> Result<FailureReport, DecodeError> {
     let mut r = PayloadReader::new(bytes);
     let tag = r.take_u8()?;
@@ -251,28 +251,24 @@ pub fn decode_failure(bytes: &[u8]) -> Result<FailureReport, DecodeError> {
             detail: r.take_str()?.to_string(),
         });
     }
-    let mut events = Vec::new();
-    if r.remaining() > 0 {
-        let ec = r.take_u64()? as usize;
-        if ec > 1 << 12 {
-            return Err(DecodeError::Truncated);
-        }
-        events.reserve(ec);
-        for _ in 0..ec {
-            let seq = r.take_u64()?;
-            let t_us = r.take_u64()?;
-            let code = r.take_u8()?;
-            let ekind =
-                mea_obs::events::EventKind::from_code(code).ok_or(DecodeError::BadTag(code))?;
-            events.push(mea_obs::events::Event {
-                seq,
-                t_us,
-                kind: ekind,
-                item: r.take_u64()?,
-                info: r.take_u64()?,
-                value: r.take_f64()?,
-            });
-        }
+    let ec = r.take_u64()? as usize;
+    if ec > 1 << 12 {
+        return Err(DecodeError::Truncated);
+    }
+    let mut events = Vec::with_capacity(ec);
+    for _ in 0..ec {
+        let seq = r.take_u64()?;
+        let t_us = r.take_u64()?;
+        let code = r.take_u8()?;
+        let ekind = mea_obs::events::EventKind::from_code(code).ok_or(DecodeError::BadTag(code))?;
+        events.push(mea_obs::events::Event {
+            seq,
+            t_us,
+            kind: ekind,
+            item: r.take_u64()?,
+            info: r.take_u64()?,
+            value: r.take_f64()?,
+        });
     }
     Ok(FailureReport {
         item,
@@ -447,13 +443,11 @@ mod tests {
         assert_eq!(back.events[0].seq, 41);
         assert_eq!(back.events[0].item, mea_obs::events::job_key(4));
 
-        // A pre-v2 blob ends right after the attempts: still decodes,
-        // with an empty tail.
+        // A blob that ends right after the attempts (no event tail) is
+        // truncated, not a report with an empty tail.
         let tail_len = 8 + report.events.len() * (8 + 8 + 1 + 8 + 8 + 8);
-        let legacy = &bytes[..bytes.len() - tail_len];
-        let old = decode_failure(legacy).unwrap();
-        assert_eq!(old.attempts.len(), 2);
-        assert!(old.events.is_empty());
+        let short = &bytes[..bytes.len() - tail_len];
+        assert!(matches!(decode_failure(short), Err(DecodeError::Truncated)));
     }
 
     #[test]

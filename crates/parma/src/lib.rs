@@ -54,10 +54,9 @@ pub mod plan_cache;
 pub mod service;
 pub mod session;
 pub mod solver;
-pub mod stream;
 pub mod supervisor;
 
-pub use batch::{execute, Job, Outcome, Source};
+pub use batch::{execute, Job, Outcome};
 pub use betti::{parallelism_bound, BettiSchedule};
 pub use config::ParmaConfig;
 pub use detect::{detect_anomalies, DetectionReport};
@@ -69,7 +68,6 @@ pub use session::SessionStore;
 pub use solver::{
     ParmaSolution, ParmaSolver, RecoveryAction, RecoveryEvent, SolvePlan, SolveScratch,
 };
-pub use stream::{IngestError, StreamingLoader};
 pub use supervisor::{AttemptFailure, FailureKind, FailureReport, SupervisorConfig};
 
 /// Everything a typical caller needs.
