@@ -34,7 +34,6 @@ fn bench_initial_guess(c: &mut Criterion) {
             black_box(
                 ParmaSolver::new(ParmaConfig::default())
                     .solve_supervised(
-                        &SolvePlan::new(w.z.grid()),
                         black_box(&w.z),
                         Some(w.z.clone()),
                         &mut SolveScratch::new(),

@@ -413,16 +413,8 @@ fn throughput(full: bool) {
     );
     for threads in [1usize, 2, 4, 8] {
         let sup = SupervisorConfig::default();
-        let (outcomes, secs) = time_secs(|| {
-            parma::execute(
-                &pipeline,
-                &jobs,
-                threads,
-                &sup,
-                &PlanCache::new(),
-                &|_, _| {},
-            )
-        });
+        let (outcomes, secs) =
+            time_secs(|| parma::execute(&pipeline, &jobs, threads, &sup, &|_, _| {}));
         assert!(outcomes.iter().all(|r| r.is_ok()));
         let rate = count as f64 / secs;
         println!(
@@ -966,7 +958,7 @@ fn kernels(quick: bool) {
         kernels::naive, vec_ops, BipartiteFactor, BipartiteSystem, CholeskyFactor, CooTriplets,
         DenseMatrix, InverseScope, Sequential,
     };
-    use parma::{ParmaConfig, ParmaError, ParmaSolver, SolvePlan, SolveScratch};
+    use parma::{ParmaConfig, ParmaError, ParmaSolver, SolveScratch};
     use std::hint::black_box;
 
     let sizes: &[usize] = if quick { &[4, 8] } else { &[4, 8, 12, 16] };
@@ -1300,12 +1292,11 @@ fn kernels(quick: bool) {
         let ((), legacy_secs) =
             time_secs_best_of(outer_n, || legacy_sweep_iterations(&w, &config, iters));
         let solver = ParmaSolver::new(config);
-        let plan = SolvePlan::new(w.grid);
         let mut scratch = SolveScratch::new();
         let token = mea_parallel::CancelToken::unbounded();
         let mut new_iters = iters;
         let (_, new_secs) = time_secs_best_of(outer_n, || {
-            match solver.solve_supervised(&plan, &w.z, None, &mut scratch, &token) {
+            match solver.solve_supervised(&w.z, None, &mut scratch, &token) {
                 Ok(sol) => new_iters = sol.iterations,
                 Err(ParmaError::NoConvergence { iterations, .. }) => new_iters = iterations,
                 Err(e) => panic!("unexpected solver failure: {e}"),

@@ -4,7 +4,6 @@ use crate::args::Args;
 use crate::{journal, CliError, EXIT_QUARANTINED, EXIT_REGRESSION};
 use mea_equations::{form_all_equations, read_system, write_system, FormationCensus};
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid, WetLabDataset};
-use mea_parallel::Strategy;
 use mea_topology::{fundamental_cycles, mea_complex};
 use parma::persistence::anomaly_persistence;
 use parma::prelude::*;
@@ -74,20 +73,6 @@ fn grid_from(args: &Args) -> Result<MeaGrid, String> {
     }
 }
 
-fn strategy_from(args: &Args) -> Result<Strategy, String> {
-    let threads: usize = args.get_or("threads", 4)?;
-    match args.get("strategy").unwrap_or("single") {
-        "single" => Ok(Strategy::SingleThread),
-        "parallel" => Ok(Strategy::Parallel4),
-        "balanced" => Ok(Strategy::BalancedParallel { threads }),
-        "pymp" => Ok(Strategy::FineGrained { threads }),
-        "worksteal" => Ok(Strategy::WorkStealing { threads }),
-        other => Err(format!(
-            "unknown strategy {other:?} (single|parallel|balanced|pymp|worksteal)"
-        )),
-    }
-}
-
 /// `parma generate`: synthesize a session and write the dataset file.
 pub fn generate<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let grid = grid_from(args)?;
@@ -118,7 +103,6 @@ pub fn generate<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 /// `parma solve`: load a dataset, recover resistor maps, report anomalies.
 pub fn solve<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.require("input")?;
-    let strategy = strategy_from(args)?;
     let tol: f64 = args.get_or("tol", 1e-10)?;
     let detect_factor: f64 = args.get_or("detect", 1.5)?;
     let prominence: f64 = args.get_or("prominence", 800.0)?;
@@ -128,8 +112,7 @@ pub fn solve<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let config = ParmaConfig {
         tol,
         ..Default::default()
-    }
-    .with_strategy(strategy);
+    };
     let pipeline =
         Pipeline::new(config, detect_factor).map_err(|e| format!("bad configuration: {e}"))?;
     if trace_path.is_some() {
@@ -150,10 +133,9 @@ pub fn solve<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let results = run_result.map_err(|e| format!("solve failed: {e}"))?;
     writeln!(
         out,
-        "{path}: {}×{} array, strategy {}",
+        "{path}: {}×{} array",
         session.grid.rows(),
-        session.grid.cols(),
-        strategy.label()
+        session.grid.cols()
     )
     .map_err(|e| e.to_string())?;
     for r in &results {
@@ -416,9 +398,6 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 
     let pipeline =
         Pipeline::new(config, detect_factor).map_err(|e| format!("bad configuration: {e}"))?;
-    // One plan cache for the whole run: each geometry is analyzed once,
-    // whichever session, retry or in-process fallback meets it first.
-    let plans = PlanCache::new();
     let live = metrics_addr.is_some();
     if trace_path.is_some() || live {
         mea_obs::reset();
@@ -520,7 +499,6 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             config: &config,
             detect: detect_factor,
             threads,
-            plans: &plans,
             sup: &sup,
             workers,
             heartbeat_ms,
@@ -536,7 +514,7 @@ pub fn batch<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             .enumerate()
             .map(|(i, session)| Job::loaded(i, session))
             .collect();
-        Ok(execute(&pipeline, &jobs, threads, &sup, &plans, &on_done))
+        Ok(execute(&pipeline, &jobs, threads, &sup, &on_done))
     };
     let elapsed = t0.elapsed();
     reporter_stop.store(true, Ordering::Relaxed);
@@ -999,20 +977,6 @@ mod tests {
         assert!(grid_from(&args(&["--rows", "2"])).is_err());
         assert!(grid_from(&args(&["--n", "0"])).is_err());
         assert!(grid_from(&args(&[])).is_err());
-    }
-
-    #[test]
-    fn strategy_parsing() {
-        assert_eq!(strategy_from(&args(&[])).unwrap(), Strategy::SingleThread);
-        assert_eq!(
-            strategy_from(&args(&["--strategy", "pymp", "--threads", "8"])).unwrap(),
-            Strategy::FineGrained { threads: 8 }
-        );
-        assert_eq!(
-            strategy_from(&args(&["--strategy", "worksteal"])).unwrap(),
-            Strategy::WorkStealing { threads: 4 }
-        );
-        assert!(strategy_from(&args(&["--strategy", "magic"])).is_err());
     }
 
     #[test]

@@ -32,10 +32,8 @@ use std::time::Duration;
 
 /// `parma worker --connect <host:port> [--name N]`: join a coordinator
 /// and solve assigned datasets until released. The handler is
-/// deliberately thin — decode, run the executor on one job, encode — so
-/// remote and local solves share every numeric code path. Its one piece
-/// of state is the process-lifetime plan cache: plans depend only on
-/// geometry, so every same-geometry task after the first skips analysis.
+/// deliberately thin and stateless — decode, run the executor on one job,
+/// encode — so remote and local solves share every numeric code path.
 pub fn worker<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let addr = args
         .get("connect")
@@ -44,8 +42,6 @@ pub fn worker<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         .get("name")
         .map(String::from)
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let plans = PlanCache::new();
-    let handler = move |ticket: u64, blob: &[u8]| solve_blob(ticket, blob, &plans);
     // --metrics-addr starts this worker's own telemetry listener once the
     // handshake has assigned an id, so the /snapshot meta names exactly
     // who this process is within the fleet.
@@ -75,7 +71,7 @@ pub fn worker<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         }
     };
     let summary =
-        run_worker_with(addr, &name, &handler, &mut on_registered).map_err(CliError::from)?;
+        run_worker_with(addr, &name, &solve_blob, &mut on_registered).map_err(CliError::from)?;
     if let Some(e) = server_err {
         return Err(e.into());
     }
@@ -107,7 +103,7 @@ fn internal_failure(detail: String) -> Vec<u8> {
 
 /// Decode → solve → encode for one assigned dataset; the job (and so its
 /// failure report) is keyed by the dispatch ticket.
-fn solve_blob(ticket: u64, blob: &[u8], plans: &PlanCache) -> Result<Vec<u8>, Vec<u8>> {
+fn solve_blob(ticket: u64, blob: &[u8]) -> Result<Vec<u8>, Vec<u8>> {
     let task = match SolveTask::decode(blob) {
         Ok(t) => t,
         Err(e) => return Err(internal_failure(format!("undecodable task: {e:?}"))),
@@ -132,7 +128,7 @@ fn solve_blob(ticket: u64, blob: &[u8], plans: &PlanCache) -> Result<Vec<u8>, Ve
         Err(e) => return Err(internal_failure(format!("bad configuration: {e}"))),
     };
     let job = Job::loaded(ticket as usize, &dataset);
-    match execute(&pipeline, &[job], 1, &sup, plans, &|_, _| {})
+    match execute(&pipeline, &[job], 1, &sup, &|_, _| {})
         .pop()
         .expect("one job in, one outcome out")
     {
@@ -149,8 +145,6 @@ pub struct DistBatch<'a> {
     pub detect: f64,
     /// The batch's thread budget, which the in-process fallback keeps.
     pub threads: usize,
-    /// The batch run's plan cache, shared with the in-process fallback.
-    pub plans: &'a PlanCache,
     pub sup: &'a SupervisorConfig,
     pub workers: usize,
     pub heartbeat_ms: u64,
@@ -384,14 +378,7 @@ pub fn run_distributed(
                 }
             }
         };
-        let local = execute(
-            &pipeline,
-            &jobs,
-            spec.threads,
-            spec.sup,
-            spec.plans,
-            &on_done,
-        );
+        let local = execute(&pipeline, &jobs, spec.threads, spec.sup, &on_done);
         if let Some(e) = journal_errors
             .lock()
             .expect("journal error log")

@@ -88,15 +88,7 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), CliErro
 fn flags_read_by(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
         "generate" => &["n", "rows", "cols", "seed", "regions", "out"],
-        "solve" => &[
-            "input",
-            "strategy",
-            "threads",
-            "tol",
-            "detect",
-            "prominence",
-            "trace",
-        ],
+        "solve" => &["input", "tol", "detect", "prominence", "trace"],
         "convert" => &["to"],
         "batch" => &[
             "threads",
@@ -149,8 +141,7 @@ parma — microelectrode-array parametrization (Tawose et al., IPDPS 2022)
 
 USAGE:
   parma generate  --n <N> [--rows R --cols C] [--seed S] [--regions K] --out <file>
-  parma solve     --input <file> [--strategy single|parallel|balanced|pymp|worksteal]
-                  [--threads T] [--tol E] [--detect F] [--prominence P]
+  parma solve     --input <file> [--tol E] [--detect F] [--prominence P]
                   [--trace <file>]   write a JSON trace (stage timings, solver
                                      residual curves, scheduler stats)
   parma convert   <in> <out> [--to text|binary]
@@ -206,13 +197,13 @@ COMMANDS:
   serve      long-lived solve daemon: POST a dataset body to /jobs (append
              ?session=ID to warm-start a device from its previous solution),
              poll GET /jobs/<id>, fetch GET /jobs/<id>/result; jobs run
-             under the batch supervisor (retries, deadlines, quarantine)
-             over a topology-keyed plan cache, a full queue answers 429 +
-             Retry-After, and /metrics, /snapshot and /events stay live on
-             the same listener; POST /shutdown (or --for S) drains queued
-             jobs and exits 0; --journal appends the batch journal format
-             keyed job-<id>; --addr-file publishes the bound address
-             atomically once ready, so --addr with port 0 is discoverable;
+             under the batch supervisor (retries, deadlines, quarantine),
+             a full queue answers 429 + Retry-After, and /metrics,
+             /snapshot and /events stay live on the same listener;
+             POST /shutdown (or --for S) drains queued jobs and exits 0;
+             --journal appends the batch journal format keyed job-<id>;
+             --addr-file publishes the bound address atomically once
+             ready, so --addr with port 0 is discoverable;
              --workers-addr opens a second listener for `parma worker`
              processes and offloads session-less jobs to them (worker
              death falls back to in-process solving, bitwise identical)
@@ -277,16 +268,7 @@ mod tests {
         assert!(gen_out.contains("4 measurements"));
         assert!(path.exists());
 
-        let solve_out = run_str(&[
-            "solve",
-            "--input",
-            path_s,
-            "--strategy",
-            "pymp",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
+        let solve_out = run_str(&["solve", "--input", path_s]).unwrap();
         assert!(solve_out.contains("hour  0"), "{solve_out}");
         assert!(solve_out.contains("residual"));
         std::fs::remove_file(&path).ok();
@@ -608,9 +590,12 @@ mod tests {
         let data = dir.join("session.txt");
         run_str(&["generate", "--n", "4", "--out", data.to_str().unwrap()]).unwrap();
         let d = dir.to_str().unwrap();
+        let f = data.to_str().unwrap();
         // `--for` bounds a serve that wrongly accepted its flags.
         for (args, flag) in [
             (&["generate", "--n"][..], "--n"),
+            (&["solve", "--input", f, "--strategy", "pymp"], "--strategy"),
+            (&["solve", "--input", f, "--threads", "2"], "--threads"),
             (&["batch", d, "--stream"], "--stream"),
             (&["batch", d, "--stream", "--quiet"], "--stream"),
             (&["batch", d, "--treads", "1"], "--treads"),

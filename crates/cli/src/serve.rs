@@ -259,11 +259,10 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     server.shutdown();
     mea_obs::set_live(false);
     let stats = service.stats();
-    let (hits, misses) = service.plan_stats();
     writeln!(
         out,
         "drained: {decided} job(s) decided ({} ok, {} failed), {} rejected; \
-         plan cache {hits} hit(s) / {misses} miss(es), {} session(s)",
+         {} session(s)",
         stats.completed,
         stats.failed,
         stats.rejected,

@@ -164,61 +164,6 @@ fn concurrent_scrapes_survive_a_worker_kill_and_the_timeline_reconstructs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A worker keeps one plan cache for its whole life: given several
-/// same-geometry shards it analyzes the geometry once and hits for every
-/// later shard. The proof rides the counters the worker ships on
-/// heartbeats, as the coordinator's `/metrics` exposes them.
-#[test]
-fn one_worker_analyzes_each_geometry_once() {
-    let dir = fresh_dir("dist-plan-cache");
-    let data = dir.join("data");
-    std::fs::create_dir_all(&data).unwrap();
-    // Eight n = 16 shards keep the run alive for several heartbeat rounds
-    // after the first hit, so a beat carrying it reaches /metrics.
-    for k in 0..8 {
-        generate(&data, &format!("s{k}.txt"), 16, 0xCAC + k);
-    }
-    let addr_file = dir.join("metrics.addr");
-    let mut child = parma()
-        .args([
-            "batch",
-            data.to_str().unwrap(),
-            "--workers",
-            "1",
-            "--heartbeat-ms",
-            "25",
-            "--metrics-addr",
-            "127.0.0.1:0",
-            "--metrics-addr-file",
-            addr_file.to_str().unwrap(),
-            "--quiet",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn parma batch");
-    let addr = wait_for_addr(&addr_file, Duration::from_secs(30));
-
-    let shipped = |body: &str, counter: &str| -> Option<u64> {
-        let prefix = format!("parma_worker_plan_cache_{counter}{{worker=\"w0\"}} ");
-        body.lines()
-            .find_map(|l| l.strip_prefix(prefix.as_str())?.trim().parse().ok())
-    };
-    let (mut misses, mut hits) = (0u64, 0u64);
-    while child.try_wait().expect("poll child").is_none() {
-        if let Ok((_, body)) = mea_obs::serve::http_get(addr, "/metrics") {
-            misses = misses.max(shipped(&body, "misses").unwrap_or(0));
-            hits = hits.max(shipped(&body, "hits").unwrap_or(0));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let status = child.wait().expect("reap child");
-    assert!(status.success(), "batch exited {status:?}");
-    assert_eq!(misses, 1, "the worker must analyze the one geometry once");
-    assert!(hits >= 1, "later same-geometry shards must hit the cache");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// When every worker dies, the in-process fallback keeps the batch's
 /// `--threads`: the coordinator runs no pool before the fallback, so the
 /// pool-width gauge on its `/metrics` is the fallback's own.

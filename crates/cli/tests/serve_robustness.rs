@@ -17,8 +17,8 @@ fn parallel_clients_all_get_identical_bitwise_results() {
     let body = std::fs::read(daemon.dir.join("session.txt")).unwrap();
 
     // Eight clients hammer the same dataset concurrently over real
-    // sockets; every admitted job must decide, and — the cache guarantee
-    // under concurrency — every result document must be identical.
+    // sockets; every admitted job must decide, and — the determinism
+    // guarantee under concurrency — every result document must be identical.
     let ids: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {

@@ -7,8 +7,8 @@
 //! makes the trade explicit: the outer (batch) axis gets
 //! `min(total, items)` workers and the inner (intra-solve) axis divides
 //! the remainder, capped by the solve's own parallel width — the Betti
-//! bound β₁ of its device graph (the paper's §III decomposition, computed
-//! by `parma::betti` / partitioned by `mea_topology::partition`).
+//! bound β₁ of its device graph (the paper's §III decomposition, given by
+//! `parma::betti::parallelism_bound`).
 //!
 //! The split is arithmetic on sizes only, so a given (budget, batch,
 //! bound) triple always produces the same shape — scheduling never feeds

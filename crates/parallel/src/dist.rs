@@ -221,6 +221,8 @@ pub enum DecodeError {
     BadUtf8,
     /// A discriminant byte named no known variant.
     BadTag(u8),
+    /// A field held a value outside its valid range.
+    OutOfRange,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -229,6 +231,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "payload truncated"),
             DecodeError::BadUtf8 => write!(f, "payload string is not UTF-8"),
             DecodeError::BadTag(b) => write!(f, "unknown payload tag {b}"),
+            DecodeError::OutOfRange => write!(f, "payload field out of range"),
         }
     }
 }

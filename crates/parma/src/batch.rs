@@ -11,11 +11,9 @@
 //! jobs, the paper-scale few-large-solves regime) flows to the
 //! intra-solve axis, capped per job by its Betti parallelism bound β₁
 //! ([`crate::betti`]). Intra-solve workers parallelize the structured
-//! *factorization* stages; sweeps run under the configured strategy
-//! (single-threaded by default).
+//! *factorization* stages; the O(n²) pair sweep is one sequential pass.
 //!
-//! What every role needs around a solve lives here once: plan reuse
-//! through the caller's process-lifetime [`PlanCache`], one
+//! What every role needs around a solve lives here once: one
 //! [`SolveScratch`] per pool worker, the supervisor's escalation ladder
 //! and chaos injection, and failure reports keyed by the caller's job id.
 //!
@@ -23,14 +21,13 @@
 //!
 //! Outcomes come back in job order, and each session is bitwise
 //! identical to [`Pipeline::run`] on the same dataset (at the escalation
-//! level that succeeded): plans and scratch carry no data-dependent
-//! state, the intra-solve factorization stages use fixed row-chunk
-//! partitions independent of the worker count, and supervision acts only
-//! between attempts. Thread count — on either axis — worker placement
+//! level that succeeded): scratch carries no data-dependent state, the
+//! intra-solve factorization stages use fixed row-chunk partitions
+//! independent of the worker count, and supervision acts only between
+//! attempts. Thread count — on either axis — worker placement
 //! and steal interleavings affect wall time only, never bits.
 
 use crate::pipeline::{Pipeline, TimePointResult};
-use crate::plan_cache::PlanCache;
 use crate::solver::SolveScratch;
 use crate::supervisor::{supervise, FailureReport, SupervisorConfig};
 use mea_model::{MeaGrid, ResistorGrid, WetLabDataset, ZMatrix};
@@ -69,16 +66,15 @@ impl<'a> Job<'a> {
 pub type Outcome = Result<Vec<TimePointResult>, FailureReport>;
 
 /// Runs `jobs` through `pipeline` on `threads` threads under the
-/// supervisor policy `sup`, taking plans from `plans`, and returns the
-/// outcomes in job order. `on_done(id, outcome)` fires exactly once per
-/// job, as soon as its fate is decided (possibly on a worker thread) —
-/// which is what lets callers journal incrementally.
+/// supervisor policy `sup` and returns the outcomes in job order.
+/// `on_done(id, outcome)` fires exactly once per job, as soon as its fate
+/// is decided (possibly on a worker thread) — which is what lets callers
+/// journal incrementally.
 pub fn execute(
     pipeline: &Pipeline,
     jobs: &[Job<'_>],
     threads: usize,
     sup: &SupervisorConfig,
-    plans: &PlanCache,
     on_done: &(dyn Fn(usize, &Outcome) + Sync),
 ) -> Vec<Outcome> {
     let _span = mea_obs::span("parma/batch");
@@ -96,13 +92,15 @@ pub fn execute(
             let job = &jobs[k];
             let dataset = job.dataset;
             let mut scratch = take_scratch(&spare, dataset.grid);
-            scratch.set_intra_threads(intra_width(&budget, dataset.grid));
+            // More intra-solve workers than independent cycles buy nothing.
+            scratch.set_intra_threads(
+                budget.inner_capped(crate::betti::parallelism_bound(dataset.grid)),
+            );
             let t0 = Instant::now();
             let res = pipeline.escalated(escalation).run_session(
                 dataset,
                 token,
                 sup.solve_deadline,
-                plans,
                 job.warm.clone(),
                 &mut scratch,
             );
@@ -155,19 +153,6 @@ fn record_batch_obs(times: &Mutex<Vec<(usize, f64)>>, out: &[Outcome]) {
         ITEM_MS.record(v);
     }
     mea_obs::record_series("parma.batch.item_ms", &ms);
-}
-
-/// Intra-solve width for one job: the budget's inner share, capped by
-/// the grid's Betti parallelism bound β₁ (more workers than independent
-/// cycles buys nothing — `crate::betti`). Skips the homology computation
-/// entirely in the common jobs-saturated regime where the job axis
-/// already owns the whole budget.
-fn intra_width(budget: &ThreadBudget, grid: MeaGrid) -> usize {
-    if budget.inner <= 1 {
-        1
-    } else {
-        budget.inner_capped(crate::betti::parallelism_bound(grid))
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +212,7 @@ mod tests {
         }
     }
 
-    /// Runs in-memory datasets as jobs `0..n` with a fresh plan cache.
+    /// Runs in-memory datasets as jobs `0..n`.
     fn run(
         pipeline: &Pipeline,
         datasets: &[WetLabDataset],
@@ -239,7 +224,7 @@ mod tests {
             .enumerate()
             .map(|(i, ds)| Job::loaded(i, ds))
             .collect();
-        execute(pipeline, &jobs, threads, sup, &PlanCache::new(), &|_, _| {})
+        execute(pipeline, &jobs, threads, sup, &|_, _| {})
     }
 
     /// The only time point's solution of a successful one-point job.
@@ -341,26 +326,31 @@ mod tests {
     fn mixed_geometries_share_nothing_wrongly() {
         let mut zs = measurements(3, 2);
         zs.extend(measurements(5, 2));
+        // Interleaved transposed geometries: the pool's spare scratch and
+        // its forward solver are keyed by the exact (rows, cols) pair, so a
+        // 3×4 solve must never reuse state sized for a 4×3 one.
+        for k in 0..3u64 {
+            for (rows, cols) in [(3usize, 4usize), (4, 3)] {
+                let (truth, _) =
+                    AnomalyConfig::default().generate(MeaGrid::new(rows, cols), 950 + k);
+                zs.push(ForwardSolver::new(&truth).unwrap().solve_all());
+            }
+        }
         let solver = ParmaSolver::new(ParmaConfig::default());
-        let datasets = singles(&zs);
-        let jobs: Vec<Job> = datasets
-            .iter()
-            .enumerate()
-            .map(|(i, ds)| Job::loaded(i, ds))
-            .collect();
-        let plans = PlanCache::new();
         let p = pipeline(ParmaConfig::default());
-        let out = execute(&p, &jobs, 3, &no_retries(), &plans, &|_, _| {});
-        assert_eq!(plans.len(), 2, "one plan per geometry");
-        for (z, res) in zs.iter().zip(&out) {
-            let b = solution(res);
-            assert_eq!(b.resistors.grid(), z.grid());
-            assert_eq!(
-                b.resistors
-                    .rel_max_diff(&solver.solve(z).unwrap().resistors),
-                0.0,
-                "plan sharing must not leak across geometries"
-            );
+        let datasets = singles(&zs);
+        for threads in [1usize, 3] {
+            let out = run(&p, &datasets, threads, &no_retries());
+            for (k, (z, res)) in zs.iter().zip(&out).enumerate() {
+                let b = solution(res);
+                assert_eq!(b.resistors.grid(), z.grid());
+                assert_eq!(
+                    b.resistors
+                        .rel_max_diff(&solver.solve(z).unwrap().resistors),
+                    0.0,
+                    "job {k} on {threads} thread(s): reused state must not leak across geometries"
+                );
+            }
         }
     }
 
@@ -371,7 +361,6 @@ mod tests {
             &[],
             4,
             &SupervisorConfig::default(),
-            &PlanCache::new(),
             &|_, _| panic!("no job, no callback"),
         );
         assert!(out.is_empty());
@@ -493,7 +482,7 @@ mod tests {
             .map(|(i, ds)| Job::loaded(i, ds))
             .collect();
         let fired = Mutex::new(Vec::new());
-        let out = execute(&p, &jobs, 2, &no_retries(), &PlanCache::new(), &|id, r| {
+        let out = execute(&p, &jobs, 2, &no_retries(), &|id, r| {
             assert!(r.is_ok());
             fired.lock().unwrap().push(id);
         });
@@ -546,38 +535,12 @@ mod tests {
             &jobs,
             2,
             &SupervisorConfig::default(),
-            &PlanCache::new(),
             &|id, r| fired.lock().unwrap().push((id, r.is_ok())),
         );
         let mut fired = fired.into_inner().unwrap();
         fired.sort_unstable();
         assert_eq!(fired, vec![(10, true), (20, false), (30, true)]);
         assert_eq!(out[1].as_ref().unwrap_err().item, 20);
-    }
-
-    #[test]
-    fn one_plan_per_geometry_across_jobs_and_retries() {
-        // Three same-geometry jobs, each retried once after a deadline:
-        // the caller's cache analyzes the geometry exactly once.
-        let datasets = sessions(4, 3, 60);
-        let jobs: Vec<Job> = datasets
-            .iter()
-            .enumerate()
-            .map(|(i, ds)| Job::loaded(i, ds))
-            .collect();
-        let plans = PlanCache::new();
-        let sup = SupervisorConfig {
-            max_retries: 1,
-            solve_deadline: Some(std::time::Duration::ZERO),
-            backoff: std::time::Duration::ZERO,
-            ..Default::default()
-        };
-        // One thread: racing first lookups may both analyze.
-        let p = pipeline(ParmaConfig::default());
-        execute(&p, &jobs, 1, &sup, &plans, &|_, _| {});
-        let (hits, misses) = plans.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 5, "every other session attempt hits");
     }
 
     #[test]

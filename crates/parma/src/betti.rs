@@ -4,35 +4,21 @@
 //! The first Betti number of the MEA complex counts its independent
 //! Kirchhoff cycles: `β₁ = (m−1)(n−1)`. Parma's runtime work units (pairs
 //! and per-pair constraint categories) inherit their independence from
-//! those cycles; this module computes the bound from the actual homology
-//! (not the closed form) and manufactures the corresponding
-//! [`WorkItem`] lists for the formation and solver sweeps.
+//! those cycles; this module returns that bound in closed form (its test
+//! derives the same value from the actual GF(2) homology) and manufactures
+//! the [`WorkItem`] list for equation formation.
 
 use mea_model::MeaGrid;
 use mea_parallel::{WorkItem, CATEGORY_COUNT};
-use mea_topology::{betti_numbers, mea_complex};
 
-/// The intrinsic parallelism of a device: `β₁` of the joint-level
-/// simplicial complex.
-///
-/// Equal to `(rows−1)(cols−1)` — the paper's `(n−1)^k` for `k = 2`. Up to
-/// 2,500 crossings the value is *derived* by actually computing the
-/// homology (GF(2) boundary ranks); beyond that the closed form is used —
-/// the two are proven equal on the computable range by test, and the GF(2)
-/// elimination on a 100×100 device's 20,000×29,800 boundary matrix would
-/// dominate formation time for no information gain.
+/// The intrinsic parallelism of a device: `β₁ = (rows−1)(cols−1)` of the
+/// joint-level simplicial complex — the paper's `(n−1)^k` for `k = 2`.
 pub fn parallelism_bound(grid: MeaGrid) -> usize {
-    if grid.crossings() <= 2_500 {
-        let complex = mea_complex::mea_to_complex(grid.rows(), grid.cols());
-        let betti = betti_numbers(&complex);
-        betti.get(1).copied().unwrap_or(0)
-    } else {
-        (grid.rows() - 1) * (grid.cols() - 1)
-    }
+    (grid.rows() - 1) * (grid.cols() - 1)
 }
 
-/// A Betti-aware schedule: work items for the two sweep granularities
-/// Parma uses.
+/// A Betti-aware schedule: the formation work items and the useful
+/// worker count.
 #[derive(Clone, Debug)]
 pub struct BettiSchedule {
     grid: MeaGrid,
@@ -40,7 +26,7 @@ pub struct BettiSchedule {
 }
 
 impl BettiSchedule {
-    /// Builds the schedule (computes the homology once).
+    /// Builds the schedule.
     pub fn new(grid: MeaGrid) -> Self {
         BettiSchedule {
             grid,
@@ -63,19 +49,6 @@ impl BettiSchedule {
     /// paper observes at small `n`).
     pub fn effective_workers(&self, requested: usize) -> usize {
         requested.clamp(1, self.bound.max(1))
-    }
-
-    /// One work item per endpoint pair (the solver sweep granularity).
-    /// Costs are uniform: pair updates are O(1) after the shared
-    /// factorization.
-    pub fn pair_items(&self) -> Vec<WorkItem> {
-        (0..self.grid.pairs())
-            .map(|id| WorkItem {
-                id,
-                category: id % CATEGORY_COUNT,
-                cost: 1,
-            })
-            .collect()
     }
 
     /// One work item per (pair, constraint category) — the formation
@@ -106,11 +79,25 @@ impl BettiSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mea_topology::{betti_numbers, mea_complex};
 
     #[test]
     fn bound_matches_closed_form() {
-        for (m, n) in [(2usize, 2usize), (3, 3), (4, 6), (5, 5)] {
-            assert_eq!(parallelism_bound(MeaGrid::new(m, n)), (m - 1) * (n - 1));
+        // β₁ derived from the GF(2) homology of the joint-level complex.
+        for (m, n) in [
+            (2usize, 2usize),
+            (3, 3),
+            (4, 6),
+            (5, 5),
+            (1, 1),
+            (1, 5),
+            (5, 1),
+            (2, 7),
+            (7, 2),
+            (9, 4),
+        ] {
+            let homology = betti_numbers(&mea_complex::mea_to_complex(m, n))[1];
+            assert_eq!(parallelism_bound(MeaGrid::new(m, n)), homology, "{m}×{n}");
         }
     }
 
@@ -127,17 +114,6 @@ mod tests {
         assert_eq!(s.effective_workers(4), 4);
         assert_eq!(s.effective_workers(100), 9);
         assert_eq!(s.effective_workers(0), 1);
-    }
-
-    #[test]
-    fn pair_items_are_dense_and_uniform() {
-        let s = BettiSchedule::new(MeaGrid::square(3));
-        let items = s.pair_items();
-        assert_eq!(items.len(), 9);
-        for (i, w) in items.iter().enumerate() {
-            assert_eq!(w.id, i);
-            assert_eq!(w.cost, 1);
-        }
     }
 
     #[test]

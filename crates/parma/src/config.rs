@@ -1,7 +1,6 @@
 //! Solver configuration.
 
 use crate::error::ParmaError;
-use mea_parallel::Strategy;
 
 /// Configuration of [`crate::ParmaSolver`].
 #[derive(Clone, Copy, Debug)]
@@ -15,8 +14,6 @@ pub struct ParmaConfig {
     pub tol: f64,
     /// Outer-iteration budget.
     pub max_iter: usize,
-    /// Execution strategy for the per-pair updates.
-    pub strategy: Strategy,
     /// Smallest admissible resistance (kΩ); updates are clamped here to
     /// keep iterates physical.
     pub min_resistance: f64,
@@ -33,7 +30,6 @@ impl Default for ParmaConfig {
             damping: 1.0,
             tol: 1e-10,
             max_iter: 500,
-            strategy: Strategy::SingleThread,
             min_resistance: 1e-6,
             recovery: true,
         }
@@ -41,11 +37,6 @@ impl Default for ParmaConfig {
 }
 
 impl ParmaConfig {
-    /// Same configuration under a different execution strategy.
-    pub fn with_strategy(self, strategy: Strategy) -> Self {
-        ParmaConfig { strategy, ..self }
-    }
-
     /// Checks that every value is in range; the solver calls this before
     /// the first sweep, so a bad configuration surfaces as a recoverable
     /// [`ParmaError::InvalidConfig`] instead of a panic.
@@ -86,13 +77,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         ParmaConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn with_strategy_replaces_only_strategy() {
-        let c = ParmaConfig::default().with_strategy(Strategy::FineGrained { threads: 4 });
-        assert_eq!(c.strategy, Strategy::FineGrained { threads: 4 });
-        assert_eq!(c.voltage, 5.0);
     }
 
     #[test]

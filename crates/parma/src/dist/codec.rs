@@ -27,6 +27,10 @@ pub const TAG_SOLVE_OK: u8 = 2;
 /// Tag byte of a quarantine (failure report) result blob.
 pub const TAG_SOLVE_FAILED: u8 = 3;
 
+/// Fewest bytes one encoded time point occupies (a 1×1 map with empty
+/// history, recovery log and anomaly list).
+const MIN_TIME_POINT_BYTES: usize = 85;
+
 /// One whole-array solve shipped to a worker: the dataset itself (as
 /// `parma-bin/v1` bytes — checksummed end to end) plus every knob that
 /// shapes the numeric output, so the worker reproduces the coordinator's
@@ -129,21 +133,38 @@ pub fn encode_time_points(tps: &[TimePointResult]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes a successful solve result blob.
+/// Reads an element count and checks that the rest of the payload can
+/// hold that many elements of at least `min_bytes` each, so a forged
+/// count can never make the decoder reserve more than the payload holds.
+fn take_count(r: &mut PayloadReader<'_>, min_bytes: usize) -> Result<usize, DecodeError> {
+    let count = r.take_u64()?;
+    if count > (r.remaining() / min_bytes) as u64 {
+        return Err(DecodeError::Truncated);
+    }
+    Ok(count as usize)
+}
+
+/// Deserializes a successful solve result blob. Dimensions and counts come
+/// from another process, so a zero grid dimension is
+/// [`DecodeError::OutOfRange`] and every count is checked against the
+/// bytes left before anything is reserved for it.
 pub fn decode_time_points(bytes: &[u8]) -> Result<Vec<TimePointResult>, DecodeError> {
     let mut r = PayloadReader::new(bytes);
     let tag = r.take_u8()?;
     if tag != TAG_SOLVE_OK {
         return Err(DecodeError::BadTag(tag));
     }
-    let count = r.take_u64()? as usize;
-    let mut tps = Vec::with_capacity(count.min(1 << 16));
+    let count = take_count(&mut r, MIN_TIME_POINT_BYTES)?;
+    let mut tps = Vec::with_capacity(count);
     for _ in 0..count {
         let hours = r.take_u32()?;
         let rows = r.take_u32()? as usize;
         let cols = r.take_u32()? as usize;
+        if rows == 0 || cols == 0 {
+            return Err(DecodeError::OutOfRange);
+        }
         let grid = MeaGrid::new(rows, cols);
-        let n = r.take_u64()? as usize;
+        let n = take_count(&mut r, 8)?;
         if n != grid.crossings() {
             return Err(DecodeError::Truncated);
         }
@@ -154,13 +175,13 @@ pub fn decode_time_points(bytes: &[u8]) -> Result<Vec<TimePointResult>, DecodeEr
         let resistors = CrossingMatrix::from_vec(grid, values);
         let iterations = r.take_u64()? as usize;
         let residual = r.take_f64()?;
-        let h = r.take_u64()? as usize;
-        let mut history = Vec::with_capacity(h.min(1 << 20));
+        let h = take_count(&mut r, 8)?;
+        let mut history = Vec::with_capacity(h);
         for _ in 0..h {
             history.push(r.take_f64()?);
         }
-        let rc = r.take_u64()? as usize;
-        let mut recovery = Vec::with_capacity(rc.min(1 << 16));
+        let rc = take_count(&mut r, 17)?;
+        let mut recovery = Vec::with_capacity(rc);
         for _ in 0..rc {
             recovery.push(RecoveryEvent {
                 action: recovery_action_from(r.take_u8()?)?,
@@ -170,8 +191,8 @@ pub fn decode_time_points(bytes: &[u8]) -> Result<Vec<TimePointResult>, DecodeEr
         }
         let baseline = r.take_f64()?;
         let threshold = r.take_f64()?;
-        let ac = r.take_u64()? as usize;
-        let mut anomalies = Vec::with_capacity(ac.min(1 << 20));
+        let ac = take_count(&mut r, 16)?;
+        let mut anomalies = Vec::with_capacity(ac);
         for _ in 0..ac {
             let i = r.take_u64()? as usize;
             let j = r.take_u64()? as usize;
@@ -465,5 +486,10 @@ mod tests {
         for cut in 1..50 {
             assert!(decode_time_points(&bytes[..bytes.len() - cut]).is_err());
         }
+        // A first time point declaring 0 rows (bytes 13..17: after the
+        // tag, the count and the hours).
+        let mut zero_rows = bytes.clone();
+        zero_rows[13..17].copy_from_slice(&0u32.to_le_bytes());
+        assert!(decode_time_points(&zero_rows).is_err());
     }
 }

@@ -174,8 +174,7 @@ impl Coordinator {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("parma-dist-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn coordinator accept thread");
+            .spawn(move || accept_loop(listener, accept_shared))?;
         Ok(Coordinator {
             shared,
             addr,
@@ -429,12 +428,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
+        // A failed spawn drops the connection (the worker sees EOF) and
+        // keeps the listener serving later workers.
+        let _ = std::thread::Builder::new()
             .name("parma-dist-worker-io".into())
             .spawn(move || {
                 let _ = serve_worker(stream, &shared);
-            })
-            .expect("spawn worker service thread");
+            });
     }
 }
 

@@ -3,10 +3,9 @@
 //! [`run_worker`] connects to a coordinator, handshakes, then loops:
 //! solve `Assign` frames through a caller-supplied handler and stream
 //! `Heartbeat` frames from a side thread at the coordinator-negotiated
-//! cadence. The only state a worker keeps between tasks is its plan
-//! cache, and plans depend only on geometry — so any task can run on any
-//! worker with the same bits, which is what makes reassignment after a
-//! death bitwise-safe.
+//! cadence. A worker keeps no solver state between tasks, so any task can
+//! run on any worker with the same bits, which is what makes reassignment
+//! after a death bitwise-safe.
 //!
 //! # Tracing and telemetry (v2)
 //!

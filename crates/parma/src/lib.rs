@@ -15,9 +15,9 @@
 //! 2. replacing the exponential all-paths formulation with the polynomial
 //!    joint-constraint system of §IV-A (`mea-equations`),
 //! 3. solving the resulting nonlinear system by a damped conductance
-//!    fixed-point iteration whose per-pair updates are embarrassingly
-//!    parallel ([`solver`]), under any of the paper's execution strategies
-//!    (`mea-parallel`).
+//!    fixed-point iteration whose per-pair updates are independent
+//!    ([`solver`]), while equation formation runs under any of the paper's
+//!    execution strategies (`mea-parallel`, [`formation`]).
 //!
 //! # Quickstart
 //!
@@ -50,7 +50,6 @@ pub mod newton;
 pub mod path_solver;
 pub mod persistence;
 pub mod pipeline;
-pub mod plan_cache;
 pub mod service;
 pub mod session;
 pub mod solver;
@@ -62,12 +61,9 @@ pub use config::ParmaConfig;
 pub use detect::{detect_anomalies, DetectionReport};
 pub use error::ParmaError;
 pub use formation::form_equations_parallel;
-pub use plan_cache::PlanCache;
 pub use service::{AdmissionError, JobState, JobView, ServiceConfig, ServiceStats, SolveService};
 pub use session::SessionStore;
-pub use solver::{
-    ParmaSolution, ParmaSolver, RecoveryAction, RecoveryEvent, SolvePlan, SolveScratch,
-};
+pub use solver::{ParmaSolution, ParmaSolver, RecoveryAction, RecoveryEvent, SolveScratch};
 pub use supervisor::{AttemptFailure, FailureKind, FailureReport, SupervisorConfig};
 
 /// Everything a typical caller needs.
@@ -77,11 +73,10 @@ pub mod prelude {
     pub use crate::detect::{detect_anomalies, DetectionReport};
     pub use crate::error::ParmaError;
     pub use crate::pipeline::{Pipeline, TimePointResult};
-    pub use crate::plan_cache::PlanCache;
     pub use crate::service::{AdmissionError, JobState, JobView, ServiceConfig, SolveService};
     pub use crate::session::SessionStore;
     pub use crate::solver::{
-        ParmaSolution, ParmaSolver, RecoveryAction, RecoveryEvent, SolvePlan, SolveScratch,
+        ParmaSolution, ParmaSolver, RecoveryAction, RecoveryEvent, SolveScratch,
     };
     pub use crate::supervisor::{FailureKind, FailureReport, SupervisorConfig};
     pub use mea_model::{

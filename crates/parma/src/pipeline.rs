@@ -11,12 +11,10 @@
 use crate::config::ParmaConfig;
 use crate::detect::{detect_anomalies, DetectionReport};
 use crate::error::ParmaError;
-use crate::plan_cache::PlanCache;
 use crate::session::ratio_extrapolate;
-use crate::solver::{ParmaSolution, ParmaSolver, SolvePlan, SolveScratch};
+use crate::solver::{ParmaSolution, ParmaSolver, SolveScratch};
 use mea_model::WetLabDataset;
 use mea_parallel::CancelToken;
-use std::sync::Arc;
 
 /// One time point's outcome.
 #[derive(Clone, Debug)]
@@ -73,7 +71,6 @@ impl Pipeline {
             dataset,
             &CancelToken::unbounded(),
             None,
-            &PlanCache::new(),
             None,
             &mut SolveScratch::new(),
         )
@@ -90,37 +87,29 @@ impl Pipeline {
 
     /// The session loop behind [`Self::run`] and the job executor
     /// (`crate::batch::execute`). Each time point solves under a child of
-    /// `token` clamped to `solve_budget`; plans come from `plans`; hour 0
-    /// optionally starts from `warm_seed`, a previous session's
-    /// `(resistors, impedances)` pair transported by the same ratio
-    /// extrapolation (a seed of another geometry is ignored — cold start).
-    /// An uninterrupted run is bitwise identical to [`Self::run`] for any
-    /// cache state and scratch: neither carries data-dependent state.
+    /// `token` clamped to `solve_budget`; hour 0 optionally starts from
+    /// `warm_seed`, a previous session's `(resistors, impedances)` pair
+    /// transported by the same ratio extrapolation (a seed of another
+    /// geometry is ignored — cold start). An uninterrupted run is bitwise
+    /// identical to [`Self::run`] for any scratch: it carries no
+    /// data-dependent state.
     pub(crate) fn run_session(
         &self,
         dataset: &WetLabDataset,
         token: &CancelToken,
         solve_budget: Option<std::time::Duration>,
-        plans: &PlanCache,
         warm_seed: Option<(mea_model::ResistorGrid, mea_model::ZMatrix)>,
         scratch: &mut SolveScratch,
     ) -> Result<Vec<TimePointResult>, ParmaError> {
         let _span = mea_obs::span("pipeline/run");
         let mut out: Vec<TimePointResult> = Vec::with_capacity(dataset.measurements.len());
         let mut warm = warm_seed;
-        // One plan shared across the session's time points (they all use
-        // the same geometry).
-        let mut plan: Option<Arc<SolvePlan>> = None;
         for m in &dataset.measurements {
             let _tp = mea_obs::span("time_point");
             let solver = ParmaSolver::new(ParmaConfig {
                 voltage: m.voltage,
                 ..self.config
             });
-            if plan.as_ref().map(|p| p.grid()) != Some(m.z.grid()) {
-                plan = Some(plans.get_or_analyze(m.z.grid()));
-            }
-            let plan_ref = plan.as_deref().expect("plan installed above");
             let init = match &warm {
                 Some((prev_r, prev_z)) if prev_r.grid() == m.z.grid() => {
                     Some(ratio_extrapolate(prev_r, prev_z, &m.z))
@@ -128,7 +117,7 @@ impl Pipeline {
                 _ => None,
             };
             let solve_token = token.child(solve_budget);
-            let solution = solver.solve_supervised(plan_ref, &m.z, init, scratch, &solve_token)?;
+            let solution = solver.solve_supervised(&m.z, init, scratch, &solve_token)?;
             let detection = {
                 let _d = mea_obs::span("detect");
                 detect_anomalies(&solution.resistors, self.detection_factor)
@@ -226,15 +215,8 @@ mod tests {
     }
 
     /// Runs one job through the executor on one thread.
-    fn execute_one(
-        pipeline: &Pipeline,
-        job: Job<'_>,
-        sup: &SupervisorConfig,
-        plans: &PlanCache,
-    ) -> Outcome {
-        execute(pipeline, &[job], 1, sup, plans, &|_, _| {})
-            .pop()
-            .unwrap()
+    fn execute_one(pipeline: &Pipeline, job: Job<'_>, sup: &SupervisorConfig) -> Outcome {
+        execute(pipeline, &[job], 1, sup, &|_, _| {}).pop().unwrap()
     }
 
     fn no_retries() -> SupervisorConfig {
@@ -265,28 +247,9 @@ mod tests {
         let ds = session(6, 91);
         let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
         let plain = pipeline.run(&ds).unwrap();
-        let supervised = execute_one(
-            &pipeline,
-            Job::loaded(0, &ds),
-            &SupervisorConfig::default(),
-            &PlanCache::new(),
-        )
-        .unwrap();
+        let supervised =
+            execute_one(&pipeline, Job::loaded(0, &ds), &SupervisorConfig::default()).unwrap();
         assert_same_bits(&plain, &supervised);
-    }
-
-    #[test]
-    fn shared_plan_cache_keeps_runs_bitwise_identical() {
-        let ds = session(6, 91);
-        let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
-        let plain = pipeline.run(&ds).unwrap();
-        let cache = PlanCache::new();
-        let first = execute_one(&pipeline, Job::loaded(0, &ds), &no_retries(), &cache).unwrap();
-        let second = execute_one(&pipeline, Job::loaded(1, &ds), &no_retries(), &cache).unwrap();
-        // One analysis total: the first run misses, the second hits.
-        assert_eq!(cache.stats(), (1, 1));
-        assert_same_bits(&plain, &first);
-        assert_same_bits(&plain, &second);
     }
 
     #[test]
@@ -304,8 +267,7 @@ mod tests {
             )),
             ..Job::loaded(0, &ds)
         };
-        let cache = PlanCache::new();
-        let warm = execute_one(&pipeline, seeded, &no_retries(), &cache).unwrap();
+        let warm = execute_one(&pipeline, seeded, &no_retries()).unwrap();
         assert!(
             warm[0].solution.iterations < cold[0].solution.iterations,
             "seeded hour 0 must save iterations: {} vs {}",
@@ -321,7 +283,7 @@ mod tests {
             )),
             ..Job::loaded(0, &ds)
         };
-        let ignored = execute_one(&pipeline, bogus, &no_retries(), &cache).unwrap();
+        let ignored = execute_one(&pipeline, bogus, &no_retries()).unwrap();
         assert_eq!(
             ignored[0].solution.iterations, cold[0].solution.iterations,
             "mismatched seed must behave exactly like a cold start"
@@ -333,8 +295,7 @@ mod tests {
         let ds = session(6, 91);
         let pipeline = Pipeline::new(ParmaConfig::default(), 1.5).unwrap();
         let timed_out = |sup: SupervisorConfig| {
-            let report =
-                execute_one(&pipeline, Job::loaded(0, &ds), &sup, &PlanCache::new()).unwrap_err();
+            let report = execute_one(&pipeline, Job::loaded(0, &ds), &sup).unwrap_err();
             report.kind == FailureKind::Timeout
         };
         assert!(timed_out(SupervisorConfig {

@@ -1,9 +1,7 @@
 //! The long-lived solve service behind `parma serve`: a bounded job
 //! queue, a fixed worker pool, and the cross-request state that makes a
-//! daemon worth running — the topology-keyed [`PlanCache`] ("analyze
-//! once, serve every array of that geometry") and the per-device
-//! [`SessionStore`] (warm-start each timepoint from the previous
-//! solution).
+//! daemon worth running — the per-device [`SessionStore`] (warm-start
+//! each timepoint from the previous solution).
 //!
 //! Every job runs through the job executor ([`crate::batch::execute`]) as
 //! a one-job batch, under the supervisor: panics are isolated, retryable
@@ -16,17 +14,15 @@
 //!
 //! # Determinism contract
 //!
-//! Plan-cache hits and warm starts never change a solve's fixed point:
-//! a cache-hit solve is bitwise identical to a cold solve of the same
-//! request (plans carry no data-dependent state), and a warm-started
-//! session changes only the iteration count. Both halves are pinned by
-//! the serve end-to-end harness.
+//! A session-less job is bitwise identical to a direct
+//! [`Pipeline::run`] of the same request, and a warm-started session
+//! changes only the iteration count. Both halves are pinned by the serve
+//! end-to-end harness.
 
 use crate::batch::{execute, Job};
 use crate::config::ParmaConfig;
 use crate::error::ParmaError;
 use crate::pipeline::{Pipeline, TimePointResult};
-use crate::plan_cache::PlanCache;
 use crate::session::SessionStore;
 use crate::supervisor::{FailureKind, FailureReport, SupervisorConfig};
 use mea_model::WetLabDataset;
@@ -186,7 +182,6 @@ struct Inner {
     jobs: Mutex<HashMap<u64, JobRecord>>,
     next_id: AtomicU64,
     stopping: AtomicBool,
-    plans: PlanCache,
     sessions: SessionStore,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -233,7 +228,6 @@ impl SolveService {
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             stopping: AtomicBool::new(false),
-            plans: PlanCache::new(),
             sessions: SessionStore::new(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -313,11 +307,6 @@ impl SolveService {
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.lock().expect("service queue lock").len()
-    }
-
-    /// `(hits, misses)` of the shared plan cache.
-    pub fn plan_stats(&self) -> (u64, u64) {
-        self.inner.plans.stats()
     }
 
     /// Live device sessions with committed warm-start state.
@@ -431,7 +420,7 @@ fn run_job(inner: &Inner, id: u64) {
                 ..Job::loaded(id as usize, &dataset)
             };
             let sup = &inner.cfg.supervisor;
-            execute(&inner.pipeline, &[job], 1, sup, &inner.plans, &|_, _| {})
+            execute(&inner.pipeline, &[job], 1, sup, &|_, _| {})
                 .pop()
                 .expect("one job yields one outcome")
         }
@@ -535,24 +524,6 @@ mod tests {
             }
         }
         assert_eq!(service.stats().completed, 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn plan_cache_hits_on_the_second_same_geometry_job() {
-        let service = SolveService::start(ServiceConfig::default(), None, None).unwrap();
-        let a = service.submit(session_data(5, 1), None).unwrap();
-        wait_done(&service, a);
-        let (_, misses_after_first) = service.plan_stats();
-        assert_eq!(misses_after_first, 1, "first job analyzes");
-        let b = service.submit(session_data(5, 2), None).unwrap();
-        wait_done(&service, b);
-        let (hits, misses) = service.plan_stats();
-        assert_eq!(
-            misses, 1,
-            "second job of the same geometry must not re-analyze"
-        );
-        assert!(hits >= 1, "second job hits the cache");
         service.shutdown();
     }
 

@@ -16,10 +16,12 @@
 //! ```
 //!
 //! i.e. the direct *conductance* absorbs the terminal-conductance mismatch.
-//! Every pair's update reads the shared factorization and writes only its
-//! own entry — the `(n−1)²` independent homology cycles of §III are what
-//! guarantee the updates do not interact within an iteration — so the
-//! update sweep runs under any [`mea_parallel::Strategy`].
+//! Every pair's update is an O(1) read of the shared factorization that
+//! writes only its own entry — the `(n−1)²` independent homology cycles of
+//! §III are what guarantee the updates do not interact within an
+//! iteration — so one sequential row-major pass over the pairs is the
+//! whole sweep; the factorization is where the work and the intra-solve
+//! parallelism are.
 //!
 //! # Damping
 //!
@@ -44,7 +46,7 @@ use mea_linalg::{LinalgError, Parallelism, Sequential};
 use mea_model::{ForwardSolver, ForwardWorkspace, MeaGrid, ResistorGrid, ZMatrix};
 use mea_obs::events::{emit as emit_event, EventKind};
 use mea_obs::hist::Hist;
-use mea_parallel::{execute, CancelToken, Interrupt, Strategy, WorkItem, WorkStealingPool};
+use mea_parallel::{CancelToken, Interrupt, WorkStealingPool};
 use std::time::Instant;
 
 /// Per-solve wall-clock latency (ms), across all exit paths.
@@ -121,44 +123,8 @@ const STALL_WINDOW: usize = 25;
 /// which improve not at all.
 const STALL_FACTOR: f64 = 0.98;
 
-/// Per-topology solve context, built once and reused across solves.
-///
-/// Everything in here depends only on the grid *geometry*, not on any
-/// measured data: the pair work-item list the sweep schedules and the
-/// uniform-mode coupling bound κ that sets the damping and the initial
-/// scaling. Batch drivers (and the pipeline's time series) build one plan
-/// per topology and amortize it across every dataset and time point.
-#[derive(Clone, Debug)]
-pub struct SolvePlan {
-    grid: MeaGrid,
-    items: Vec<WorkItem>,
-    kappa: f64,
-}
-
-impl SolvePlan {
-    /// Builds the reusable context for one grid geometry.
-    pub fn new(grid: MeaGrid) -> Self {
-        SolvePlan {
-            grid,
-            items: pair_work_items(grid),
-            kappa: coupling_bound(grid),
-        }
-    }
-
-    /// The geometry this plan was built for.
-    pub fn grid(&self) -> MeaGrid {
-        self.grid
-    }
-
-    /// The uniform-mode coupling bound κ = mn/(m+n−1).
-    pub fn kappa(&self) -> f64 {
-        self.kappa
-    }
-}
-
 /// Reusable per-solve scratch: the forward solver (refactored in place
-/// each iteration instead of rebuilt), its factorization workspace, and
-/// the sweep's update buffer.
+/// each iteration instead of rebuilt) and its factorization workspace.
 ///
 /// Carries no data-dependent state between solves — results through
 /// [`ParmaSolver::solve_supervised`] are bitwise identical to
@@ -168,7 +134,6 @@ impl SolvePlan {
 pub struct SolveScratch {
     forward: Option<ForwardSolver>,
     ws: ForwardWorkspace,
-    updates: Vec<PairUpdate>,
     intra: usize,
     pool: Option<WorkStealingPool>,
 }
@@ -185,7 +150,6 @@ impl SolveScratch {
         SolveScratch {
             forward: None,
             ws,
-            updates: Vec::new(),
             intra: 1,
             pool: None,
         }
@@ -231,30 +195,22 @@ impl ParmaSolver {
     /// factor `κ = mn/(m+n−1)` (for a uniform map, `Z = R/κ` exactly), so
     /// the slowest-converging mode starts already solved.
     pub fn solve(&self, z: &ZMatrix) -> Result<ParmaSolution, ParmaError> {
-        self.solve_supervised(
-            &SolvePlan::new(z.grid()),
-            z,
-            None,
-            &mut SolveScratch::new(),
-            &CancelToken::unbounded(),
-        )
+        self.solve_supervised(z, None, &mut SolveScratch::new(), &CancelToken::unbounded())
     }
 
     /// The workhorse behind [`Self::solve`] and every batch, serve and
-    /// worker solve: solves against a prebuilt per-topology [`SolvePlan`],
-    /// optionally from an explicit initial map (e.g. the previous time
-    /// point's solution, defaulting to the uniform-mode seed `κ·Z`),
-    /// reusing caller-owned [`SolveScratch`] so repeated solves pay no
-    /// per-iteration allocation, under a [`CancelToken`]. Plan and
-    /// scratch carry no data-dependent state, so the result is bitwise
-    /// identical to [`Self::solve`]. The token is polled once per outer
-    /// iteration (never inside the floating-point work, so an
+    /// worker solve: solves optionally from an explicit initial map (e.g.
+    /// the previous time point's solution, defaulting to the uniform-mode
+    /// seed `κ·Z`), reusing caller-owned [`SolveScratch`] so repeated
+    /// solves pay no per-iteration allocation, under a [`CancelToken`].
+    /// The scratch carries no data-dependent state, so the result is
+    /// bitwise identical to [`Self::solve`]. The token is polled once per
+    /// outer iteration (never inside the floating-point work, so an
     /// uninterrupted solve keeps the same bits) and a fired token
     /// surfaces as [`ParmaError::Timeout`] — carrying the partial iterate
     /// — or [`ParmaError::Cancelled`].
     pub fn solve_supervised(
         &self,
-        plan: &SolvePlan,
         z: &ZMatrix,
         initial: Option<ResistorGrid>,
         scratch: &mut SolveScratch,
@@ -263,12 +219,7 @@ impl ParmaSolver {
         self.config.validate()?;
         validate_measurements(z)?;
         let grid = z.grid();
-        if plan.grid != grid {
-            return Err(ParmaError::InvalidMeasurement(
-                "solve plan geometry differs from the measurements".into(),
-            ));
-        }
-        let kappa = plan.kappa;
+        let kappa = coupling_bound(grid);
         let initial = match initial {
             Some(map) => {
                 if map.grid() != grid {
@@ -296,12 +247,11 @@ impl ParmaSolver {
         // when collection is off this is one atomic load.
         let solve_t0 = mea_obs::is_active().then(Instant::now);
         emit_event(EventKind::SolveStart, 0, 0.0);
-        // Destructure the scratch once so the forward-solver slot, its
-        // factorization workspace and the update buffer borrow disjointly.
+        // Destructure the scratch once so the forward-solver slot and its
+        // factorization workspace borrow disjointly.
         let SolveScratch {
             forward: fwd_slot,
             ws,
-            updates,
             pool,
             ..
         } = scratch;
@@ -320,7 +270,6 @@ impl ParmaSolver {
         let (mut have_prev1, mut have_prev2) = (false, false);
         let mut history = Vec::with_capacity(self.config.max_iter + 1);
         let mut recovery: Vec<RecoveryEvent> = Vec::new();
-        let items = &plan.items;
         // Adaptive safeguard: the κ-derived damping is optimal for
         // healthy maps but under-damps degenerate ones (a dead wire makes
         // a whole row couple ~n-fold, past κ, and the plain sweep falls
@@ -372,9 +321,8 @@ impl ParmaSolver {
                     forward,
                     z,
                     &r,
-                    items,
+                    kappa,
                     shrink * recovery_damp,
-                    updates,
                     &mut next,
                 );
                 if let Some(t0) = sweep_t0 {
@@ -570,12 +518,6 @@ impl ParmaSolver {
     }
 }
 
-/// One pair's update outcome.
-struct PairUpdate {
-    value: f64,
-    rel_mismatch: f64,
-}
-
 /// Solve-failure bookkeeping for an interrupt (token fired at an
 /// iteration boundary or mid-factorization), returning the error to
 /// surface. Consumes `r` so a timeout can carry the partial iterate.
@@ -646,53 +588,35 @@ fn ensure_forward<'a>(
     Ok(slot.as_ref().expect("installed above"))
 }
 
-/// Work items for the pair sweep: one per endpoint pair. Categories
-/// alternate source/destination-side bookkeeping only for strategy
-/// bucketing; costs are uniform because pair updates are O(1) after the
-/// shared factorization.
-fn pair_work_items(grid: MeaGrid) -> Vec<WorkItem> {
-    (0..grid.pairs())
-        .map(|id| WorkItem {
-            id,
-            category: id % mea_parallel::CATEGORY_COUNT,
-            cost: 1,
-        })
-        .collect()
-}
-
 /// The extreme Jacobi-coupling eigenvalue `κ = mn/(m+n−1)` of uniform
 /// maps; see the module docs. Equals 1 for a single crossing (the map is
-/// then the identity). Used for the initial-guess scaling; the per-sweep
-/// damping uses the sharper map-dependent bound below.
+/// then the identity). Sets the initial-guess scaling and the sweep
+/// damping `α = 2/(1+κ)`.
 fn coupling_bound(grid: MeaGrid) -> f64 {
     let (m, n) = (grid.rows() as f64, grid.cols() as f64);
     m * n / (m + n - 1.0)
 }
 
-/// One damped Jacobi sweep over every pair, writing the updated map into
-/// `next` (fully overwritten) and returning the max relative mismatch.
-/// `updates` is a reusable buffer; on the sequential strategy the sweep
-/// performs no heap allocation.
-#[allow(clippy::too_many_arguments)]
+/// One damped Jacobi sweep over every pair in row-major order, writing
+/// the updated map into `next` (fully overwritten) and returning the max
+/// relative mismatch. Allocates nothing.
 fn sweep_into(
     config: &ParmaConfig,
     forward: &ForwardSolver,
     z: &ZMatrix,
     r: &ResistorGrid,
-    items: &[WorkItem],
+    kappa: f64,
     shrink: f64,
-    updates: &mut Vec<PairUpdate>,
     next: &mut ResistorGrid,
 ) -> f64 {
     let _span = mea_obs::span("sweep");
-    let grid = z.grid();
     // Damping: optimal for the uniform-map spectrum [λ_min, κ], times the
     // user multiplier, times the adaptive safeguard factor the outer loop
     // maintains (degenerate maps — e.g. a dead wire — couple more strongly
     // than κ and need extra damping; see `ParmaSolver::solve_supervised`).
-    let alpha = shrink * config.damping * 2.0 / (1.0 + coupling_bound(grid));
-    let update = |w: &WorkItem| {
-        let (i, j) = (w.id / grid.cols(), w.id % grid.cols());
+    let alpha = shrink * config.damping * 2.0 / (1.0 + kappa);
+    let mut residual = 0.0f64;
+    for (i, j) in z.grid().pair_iter() {
         let z_meas = z.get(i, j);
         let z_model = forward.effective_resistance(i, j);
         let g_old = 1.0 / r.get(i, j);
@@ -703,25 +627,8 @@ fn sweep_into(
             .clamp(g_old / 8.0, g_old * 8.0)
             .min(1.0 / config.min_resistance)
             .max(1e-12);
-        PairUpdate {
-            value: 1.0 / bounded,
-            rel_mismatch: (z_model - z_meas).abs() / z_meas,
-        }
-    };
-    match config.strategy {
-        // Sequential fast path: refill the reusable buffer in place —
-        // same updates in the same order, zero allocations.
-        Strategy::SingleThread => {
-            updates.clear();
-            updates.extend(items.iter().map(update));
-        }
-        strategy => *updates = execute(strategy, items, update),
-    }
-    let mut residual = 0.0f64;
-    for (w, u) in items.iter().zip(updates.iter()) {
-        let (i, j) = (w.id / grid.cols(), w.id % grid.cols());
-        next.set(i, j, u.value);
-        residual = residual.max(u.rel_mismatch);
+        next.set(i, j, 1.0 / bounded);
+        residual = residual.max((z_model - z_meas).abs() / z_meas);
     }
     residual
 }
@@ -746,17 +653,14 @@ fn validate_measurements(z: &ZMatrix) -> Result<(), ParmaError> {
 mod tests {
     use super::*;
     use mea_model::{AnomalyConfig, CrossingMatrix};
-    use mea_parallel::Strategy;
 
-    /// One unbounded solve against `plan` from `initial`, on fresh scratch.
+    /// One unbounded solve from `initial`, on fresh scratch.
     fn solve_with(
         solver: &ParmaSolver,
-        plan: &SolvePlan,
         z: &ZMatrix,
         initial: Option<ResistorGrid>,
     ) -> Result<ParmaSolution, ParmaError> {
         solver.solve_supervised(
-            plan,
             z,
             initial,
             &mut SolveScratch::new(),
@@ -803,36 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree() {
-        let grid = MeaGrid::square(6);
-        let (truth, _) = AnomalyConfig::default().generate(grid, 21);
-        let z = ForwardSolver::new(&truth).unwrap().solve_all();
-        let reference = ParmaSolver::new(ParmaConfig::default()).solve(&z).unwrap();
-        for strategy in [
-            Strategy::Parallel4,
-            Strategy::BalancedParallel { threads: 3 },
-            Strategy::FineGrained { threads: 2 },
-            Strategy::WorkStealing { threads: 2 },
-        ] {
-            let sol = ParmaSolver::new(ParmaConfig::default().with_strategy(strategy))
-                .solve(&z)
-                .unwrap();
-            assert!(
-                sol.resistors.rel_max_diff(&reference.resistors) < 1e-12,
-                "{strategy:?} must be bit-for-bit-ish with the sequential result"
-            );
-            assert_eq!(sol.iterations, reference.iterations, "{strategy:?}");
-        }
-    }
-
-    #[test]
     fn warm_start_accelerates() {
         let grid = MeaGrid::square(8);
         let (truth, _) = AnomalyConfig::default().generate(grid, 31);
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let solver = ParmaSolver::new(ParmaConfig::default());
         let cold = solver.solve(&z).unwrap();
-        let warm = solve_with(&solver, &SolvePlan::new(grid), &z, Some(truth.clone())).unwrap();
+        let warm = solve_with(&solver, &z, Some(truth.clone())).unwrap();
         assert!(warm.iterations <= cold.iterations);
         assert_eq!(warm.iterations, 0, "exact start must exit immediately");
     }
@@ -885,7 +766,7 @@ mod tests {
         let z = CrossingMatrix::filled(MeaGrid::square(3), 1000.0);
         let init = CrossingMatrix::filled(MeaGrid::square(4), 1000.0);
         let solver = ParmaSolver::new(ParmaConfig::default());
-        let err = solve_with(&solver, &SolvePlan::new(z.grid()), &z, Some(init)).unwrap_err();
+        let err = solve_with(&solver, &z, Some(init)).unwrap_err();
         assert!(matches!(err, ParmaError::InvalidMeasurement(_)));
     }
 
@@ -917,40 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_reuse_is_bitwise_identical() {
-        // One plan amortized across several datasets must give exactly the
-        // bits the per-solve path gives — the batch engine depends on it.
-        let grid = MeaGrid::square(5);
-        let plan = SolvePlan::new(grid);
-        let solver = ParmaSolver::new(ParmaConfig::default());
-        for seed in [1u64, 9, 42] {
-            let (truth, _) = AnomalyConfig::default().generate(grid, seed);
-            let z = ForwardSolver::new(&truth).unwrap().solve_all();
-            let fresh = solver.solve(&z).unwrap();
-            let planned = solve_with(&solver, &plan, &z, None).unwrap();
-            assert_eq!(fresh.iterations, planned.iterations);
-            assert_eq!(fresh.history.len(), planned.history.len());
-            for (a, b) in fresh
-                .resistors
-                .as_slice()
-                .iter()
-                .zip(planned.resistors.as_slice())
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn plan_geometry_mismatch_is_rejected() {
-        let plan = SolvePlan::new(MeaGrid::square(4));
-        let z = CrossingMatrix::filled(MeaGrid::square(3), 1000.0);
-        let err =
-            solve_with(&ParmaSolver::new(ParmaConfig::default()), &plan, &z, None).unwrap_err();
-        assert!(matches!(err, ParmaError::InvalidMeasurement(_)));
-    }
-
-    #[test]
     fn iteration_counts_are_pinned_on_seed_fixtures() {
         // Regression pin for the deterministic-reduction contract: the
         // chunked dot/norm kernels and the workspace refactor path fix the
@@ -976,12 +823,11 @@ mod tests {
         let mut scratch = SolveScratch::new();
         for (n, seed) in [(5usize, 1u64), (4, 9), (5, 42)] {
             let grid = MeaGrid::square(n);
-            let plan = SolvePlan::new(grid);
             let (truth, _) = AnomalyConfig::default().generate(grid, seed);
             let z = ForwardSolver::new(&truth).unwrap().solve_all();
-            let fresh = solve_with(&solver, &plan, &z, None).unwrap();
+            let fresh = solve_with(&solver, &z, None).unwrap();
             let reused = solver
-                .solve_supervised(&plan, &z, None, &mut scratch, &CancelToken::unbounded())
+                .solve_supervised(&z, None, &mut scratch, &CancelToken::unbounded())
                 .unwrap();
             assert_eq!(fresh.iterations, reused.iterations);
             for (a, b) in fresh
@@ -998,14 +844,12 @@ mod tests {
     #[test]
     fn supervised_unbounded_is_bitwise_identical() {
         let grid = MeaGrid::square(6);
-        let plan = SolvePlan::new(grid);
         let (truth, _) = AnomalyConfig::default().generate(grid, 11);
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let solver = ParmaSolver::new(ParmaConfig::default());
         let plain = solver.solve(&z).unwrap();
         let supervised = solver
             .solve_supervised(
-                &plan,
                 &z,
                 None,
                 &mut SolveScratch::new(),
@@ -1026,12 +870,11 @@ mod tests {
     #[test]
     fn expired_deadline_surfaces_as_timeout_with_partial() {
         let grid = MeaGrid::square(5);
-        let plan = SolvePlan::new(grid);
         let (truth, _) = AnomalyConfig::default().generate(grid, 3);
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let err = ParmaSolver::new(ParmaConfig::default())
-            .solve_supervised(&plan, &z, None, &mut SolveScratch::new(), &token)
+            .solve_supervised(&z, None, &mut SolveScratch::new(), &token)
             .unwrap_err();
         match err {
             ParmaError::Timeout {
@@ -1049,13 +892,12 @@ mod tests {
     #[test]
     fn cancelled_token_surfaces_as_cancelled() {
         let grid = MeaGrid::square(5);
-        let plan = SolvePlan::new(grid);
         let (truth, _) = AnomalyConfig::default().generate(grid, 3);
         let z = ForwardSolver::new(&truth).unwrap().solve_all();
         let token = CancelToken::unbounded();
         token.cancel();
         let err = ParmaSolver::new(ParmaConfig::default())
-            .solve_supervised(&plan, &z, None, &mut SolveScratch::new(), &token)
+            .solve_supervised(&z, None, &mut SolveScratch::new(), &token)
             .unwrap_err();
         assert!(matches!(err, ParmaError::Cancelled { iterations: 0 }));
     }

@@ -9,7 +9,7 @@
 
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid};
 use parma::prelude::CancelToken;
-use parma::{ParmaConfig, ParmaSolver, SolvePlan, SolveScratch};
+use parma::{ParmaConfig, ParmaSolver, SolveScratch};
 
 #[global_allocator]
 static ALLOC: mea_memtrack::TrackingAllocator = mea_memtrack::TrackingAllocator::new();
@@ -19,7 +19,6 @@ fn steady_state_iteration_allocates_nothing() {
     let grid = MeaGrid::square(6);
     let (truth, _) = AnomalyConfig::default().generate(grid, 17);
     let z = ForwardSolver::new(&truth).unwrap().solve_all();
-    let plan = SolvePlan::new(grid);
     let token = CancelToken::unbounded();
 
     // Unreachable tolerance + recovery off: both runs exhaust their
@@ -32,7 +31,7 @@ fn steady_state_iteration_allocates_nothing() {
             ..Default::default()
         });
         let err = solver
-            .solve_supervised(&plan, &z, None, scratch, &token)
+            .solve_supervised(&z, None, scratch, &token)
             .unwrap_err();
         let count = mea_memtrack::allocation_count();
         drop(err);

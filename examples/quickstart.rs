@@ -48,9 +48,8 @@ fn main() {
     );
 
     // 4. Recover the resistor map from measurements alone.
-    let config = ParmaConfig::default().with_strategy(Strategy::FineGrained { threads: 2 });
     let t0 = std::time::Instant::now();
-    let solution = ParmaSolver::new(config)
+    let solution = ParmaSolver::new(ParmaConfig::default())
         .solve(&measured)
         .expect("solver converges");
     let elapsed = t0.elapsed();

@@ -47,7 +47,7 @@ fn run(
         .enumerate()
         .map(|(i, ds)| Job::loaded(i, ds))
         .collect();
-    execute(&pipeline, &jobs, threads, sup, &PlanCache::new(), on_done)
+    execute(&pipeline, &jobs, threads, sup, on_done)
 }
 
 fn no_retries() -> SupervisorConfig {

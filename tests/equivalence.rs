@@ -1,6 +1,6 @@
 //! Strategy-equivalence and physics-consistency invariants across crates:
-//! every execution strategy must produce identical equation systems and
-//! identical solver output, and both must agree with Kirchhoff physics.
+//! every execution strategy must produce identical equation systems, and
+//! they and the solver output must agree with Kirchhoff physics.
 
 use mea_equations::{form_all_equations, EquationSystem};
 use mea_parallel::Strategy;
@@ -33,22 +33,6 @@ fn formation_is_strategy_invariant() {
     let reference = form_all_equations(&z, 5.0);
     for s in strategies() {
         assert_eq!(form_equations_parallel(&z, 5.0, s), reference, "{s:?}");
-    }
-}
-
-#[test]
-fn solver_is_strategy_invariant() {
-    let (_, z) = measured(7, 100);
-    let reference = ParmaSolver::new(ParmaConfig::default()).solve(&z).unwrap();
-    for s in strategies() {
-        let sol = ParmaSolver::new(ParmaConfig::default().with_strategy(s))
-            .solve(&z)
-            .unwrap();
-        assert_eq!(sol.iterations, reference.iterations, "{s:?}");
-        assert!(
-            sol.resistors.rel_max_diff(&reference.resistors) < 1e-12,
-            "{s:?} diverged from the sequential solution"
-        );
     }
 }
 

@@ -243,7 +243,6 @@ fn assert_supervised_outcome_is_classified(z: ZMatrix, label: &str) {
         &[parma::Job::loaded(0, &dataset)],
         2,
         &sup,
-        &PlanCache::new(),
         &|_, _| {},
     );
     match &out[0] {
