@@ -80,6 +80,18 @@ fn malformed_and_truncated_uploads_get_typed_errors_not_panics() {
         reply.body
     );
 
+    // A 65-byte body whose header declares a 10⁶×10⁶ matrix: the reader
+    // reserves nothing the body has not supplied, so this is a typed 400,
+    // not an 8 TB allocation that aborts the daemon.
+    let forged = b"# parma-dataset v1\nrows 1000000\ncols 1000000\nmeasurement 0 5\n1.0\n";
+    let reply = post(daemon.addr, "/jobs", forged);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"schema\":\"parma-serve-error/v1\""),
+        "{}",
+        reply.body
+    );
+
     // Truncated upload: Content-Length promises more than arrives. The
     // daemon answers a typed 400 instead of hanging or dying.
     let mut stream = TcpStream::connect(daemon.addr).unwrap();

@@ -265,9 +265,9 @@ impl JacobianTemplate {
 }
 
 /// The global columns one flow term touches: its resistance column plus
-/// the optional from/to potential columns (the structural support the
-/// symbolic passes and `analysis::pair_block_pattern` share).
-pub(crate) fn term_columns(
+/// the optional from/to potential columns (the structural support of the
+/// symbolic pass).
+fn term_columns(
     eq: &Equation,
     t: &crate::constraint::FlowTerm,
     index: &UnknownIndex,

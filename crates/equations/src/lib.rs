@@ -20,13 +20,9 @@
 //!   residual-validation APIs,
 //! * [`pair_topology`] — the Figure-4/5 equivalent topology (routes and
 //!   joint census),
-//! * [`analysis`] — overflow-audited scale arithmetic and dense-free
-//!   symbolic pattern/bandwidth analysis of the per-pair blocks (the
-//!   structural input to the factorization dispatch),
 //! * [`writer`] — paper-style text rendering and bulk file output (the
 //!   Figure-9 I/O workload).
 
-pub mod analysis;
 pub mod constraint;
 pub mod formation;
 pub mod jacobian;
@@ -36,9 +32,6 @@ pub mod system;
 pub mod unknowns;
 pub mod writer;
 
-pub use analysis::{
-    analyze_pair_block, pair_block_pattern, CheckedScale, PairBlockAnalysis, SystemScale,
-};
 pub use constraint::{ConstraintCategory, Equation, FlowTerm, PairValues, PotentialRef};
 pub use formation::{
     form_all_equations, form_category_equations, form_pair_equations, FormationCensus,

@@ -10,8 +10,6 @@
 //!   and matrix-vector products,
 //! * [`conjugate_gradient`] — Jacobi-preconditioned CG for s.p.d. systems,
 //! * [`newton_solve`] — a damped Newton driver for square nonlinear systems,
-//! * [`fixed_point`] — a generic damped fixed-point driver with
-//!   residual-based convergence control,
 //! * [`vec_ops`] — the handful of BLAS-1 kernels everything else uses,
 //! * [`BipartiteFactor`] — a structured Schur-complement factorization of
 //!   grounded crossbar Laplacians with explicit [`simd`] lanes and a
@@ -24,13 +22,11 @@ mod cgls;
 mod csr;
 mod dense;
 mod error;
-mod fixedpoint;
 pub mod kernels;
 mod newton;
 pub mod par;
 pub mod simd;
 pub mod spectral;
-pub mod stationary;
 pub mod vec_ops;
 
 pub use bipartite::{BipartiteFactor, BipartiteSystem, InverseScope, CHUNK};
@@ -39,9 +35,7 @@ pub use cgls::{cgls, cgls_into, CglsOptions, CglsOutcome, CglsStats, CglsWorkspa
 pub use csr::{CooTriplets, CsrMatrix, CsrPattern};
 pub use dense::{CholeskyFactor, DenseMatrix, LuFactor};
 pub use error::LinalgError;
-pub use fixedpoint::{fixed_point, FixedPointOptions, FixedPointOutcome};
 pub use newton::{newton_solve, NewtonOptions, NewtonOutcome};
 pub use par::{Parallelism, Sequential};
 pub use simd::F64x4;
 pub use spectral::{condition_estimate, inverse_power_iteration, power_iteration, EigenEstimate};
-pub use stationary::{stationary_solve, StationaryMethod, StationaryOptions, StationaryOutcome};

@@ -214,10 +214,7 @@ impl WetLabDataset {
         }
         let rows = parse_kv(&mut lines, "rows")?;
         let cols = parse_kv(&mut lines, "cols")?;
-        if rows == 0 || cols == 0 {
-            return Err(DatasetError::Parse("rows/cols must be positive".into()));
-        }
-        let grid = MeaGrid::new(rows, cols);
+        let grid = header_grid(rows, cols)?;
         let mut measurements = Vec::new();
         'sessions: loop {
             // Find the next measurement header, skipping blank lines.
@@ -247,7 +244,7 @@ impl WetLabDataset {
                     .map_err(|e| DatasetError::Parse(format!("bad voltage: {e}")))?;
                 break (hours, voltage);
             };
-            let mut values = Vec::with_capacity(grid.crossings());
+            let mut values = Vec::new();
             for i in 0..rows {
                 let row = lines
                     .next_line()?
@@ -307,10 +304,7 @@ impl WetLabDataset {
         }
         let rows = parse_kv_naive(&mut lines, "rows")?;
         let cols = parse_kv_naive(&mut lines, "cols")?;
-        if rows == 0 || cols == 0 {
-            return Err(DatasetError::Parse("rows/cols must be positive".into()));
-        }
-        let grid = MeaGrid::new(rows, cols);
+        let grid = header_grid(rows, cols)?;
         let mut measurements = Vec::new();
         while let Some(line) = lines.next() {
             let line = line?;
@@ -334,7 +328,7 @@ impl WetLabDataset {
                 .ok_or_else(|| DatasetError::Parse("measurement missing voltage".into()))?
                 .parse()
                 .map_err(|e| DatasetError::Parse(format!("bad voltage: {e}")))?;
-            let mut values = Vec::with_capacity(grid.crossings());
+            let mut values = Vec::new();
             for i in 0..rows {
                 let row = lines
                     .next()
@@ -437,6 +431,22 @@ impl<R: Read> LineReader<R> {
         }
         Ok(Some(self.buf.trim_end_matches(['\n', '\r'])))
     }
+}
+
+/// The grid a text header declares. A zero dimension or a `rows × cols`
+/// that overflows is a parse error. Nothing is reserved from the header:
+/// the matrix grows only as its rows parse, so a short body cannot make
+/// the reader allocate for values it never supplied.
+fn header_grid(rows: usize, cols: usize) -> Result<MeaGrid, DatasetError> {
+    if rows == 0 || cols == 0 {
+        return Err(DatasetError::Parse("rows/cols must be positive".into()));
+    }
+    if rows.checked_mul(cols).is_none() {
+        return Err(DatasetError::Parse(format!(
+            "rows × cols overflows: {rows} × {cols}"
+        )));
+    }
+    Ok(MeaGrid::new(rows, cols))
 }
 
 fn parse_kv<R: Read>(lines: &mut LineReader<R>, key: &str) -> Result<usize, DatasetError> {
@@ -699,6 +709,25 @@ mod tests {
             WetLabDataset::read_text(text2.as_bytes()).unwrap_err(),
             DatasetError::Parse(_)
         ));
+    }
+
+    #[test]
+    fn huge_and_overflowing_headers_are_parse_errors() {
+        // 2³¹ × 2³¹ fits a usize but no memory, so the reader may hold only
+        // the one value supplied; 2³² × 2³² overflows a usize outright.
+        for dim in [1u64 << 31, 1u64 << 32] {
+            let text =
+                format!("# parma-dataset v1\nrows {dim}\ncols {dim}\nmeasurement 0 5\n1.0\n");
+            for parsed in [
+                WetLabDataset::read_text(text.as_bytes()),
+                WetLabDataset::read_text_naive(text.as_bytes()),
+            ] {
+                assert!(
+                    matches!(parsed, Err(DatasetError::Parse(_))),
+                    "{dim}: {parsed:?}"
+                );
+            }
+        }
     }
 
     #[test]

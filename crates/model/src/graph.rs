@@ -1,14 +1,12 @@
-//! The wire-level circuit-graph abstraction of an MEA.
+//! Wire-node identifiers of an MEA.
 //!
 //! With ideal wires, every horizontal and every vertical wire is a single
 //! electrical node, so the device is the complete bipartite graph `K_{m,n}`
 //! whose edges are the crossing resistors (the paper's Figure 2
-//! abstraction). This module provides that graph with weighted edges,
-//! adjacency queries, Maxwell's cyclomatic number, and the bridge to the
-//! simplicial machinery in `mea-topology`.
+//! abstraction). [`WireId`] names one of its `m + n` nodes and maps it to
+//! the flat node index the forward solver's potentials use.
 
-use crate::grid::{MeaGrid, ResistorGrid};
-use mea_topology::{mea_complex, SimplicialComplex};
+use crate::grid::MeaGrid;
 
 /// Identifies one wire-node of the circuit graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,94 +43,9 @@ impl WireId {
     }
 }
 
-/// The wire-level circuit graph of an MEA: nodes are wires, edges are the
-/// crossing resistors with conductance weights `g = 1/R` (millisiemens).
-#[derive(Clone, Debug)]
-pub struct CircuitGraph {
-    grid: MeaGrid,
-    /// Conductance of the resistor at crossing `(i, j)`, row-major.
-    conductances: Vec<f64>,
-}
-
-impl CircuitGraph {
-    /// Builds from a resistor map. Panics if any resistance is non-physical
-    /// (zero, negative, non-finite).
-    pub fn from_resistors(r: &ResistorGrid) -> Self {
-        assert!(r.is_physical(), "resistor map has non-physical entries");
-        let grid = r.grid();
-        let conductances = r.as_slice().iter().map(|&x| 1.0 / x).collect();
-        CircuitGraph { grid, conductances }
-    }
-
-    /// The geometry.
-    pub fn grid(&self) -> MeaGrid {
-        self.grid
-    }
-
-    /// Number of nodes (`m + n` wires).
-    pub fn node_count(&self) -> usize {
-        self.grid.rows() + self.grid.cols()
-    }
-
-    /// Number of edges (`m·n` resistors).
-    pub fn edge_count(&self) -> usize {
-        self.grid.crossings()
-    }
-
-    /// Conductance between horizontal wire `i` and vertical wire `j`.
-    pub fn conductance(&self, i: usize, j: usize) -> f64 {
-        self.conductances[self.grid.pair_index(i, j)]
-    }
-
-    /// Maxwell's cyclomatic number `|E| − |V| + 1` (the graph is always
-    /// connected): the number of independent Kirchhoff voltage loops and
-    /// hence the intrinsic parallelism `(m−1)(n−1)`.
-    pub fn cyclomatic_number(&self) -> usize {
-        self.edge_count() - self.node_count() + 1
-    }
-
-    /// Neighbors of a wire: all wires of the opposite orientation, with the
-    /// connecting conductance.
-    pub fn neighbors(&self, w: WireId) -> Vec<(WireId, f64)> {
-        match w {
-            WireId::Horizontal(i) => (0..self.grid.cols())
-                .map(|j| (WireId::Vertical(j), self.conductance(i, j)))
-                .collect(),
-            WireId::Vertical(j) => (0..self.grid.rows())
-                .map(|i| (WireId::Horizontal(i), self.conductance(i, j)))
-                .collect(),
-        }
-    }
-
-    /// Weighted node degree (sum of incident conductances) — the Laplacian
-    /// diagonal entry for this wire.
-    pub fn weighted_degree(&self, w: WireId) -> f64 {
-        self.neighbors(w).into_iter().map(|(_, g)| g).sum()
-    }
-
-    /// The wire-level simplicial complex (`K_{m,n}`), for homological
-    /// analysis via `mea-topology`.
-    pub fn to_complex(&self) -> SimplicialComplex {
-        mea_complex::mea_wire_complex(self.grid.rows(), self.grid.cols())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::CrossingMatrix;
-    use mea_topology::betti_numbers;
-
-    fn uniform(n: usize, r: f64) -> CircuitGraph {
-        CircuitGraph::from_resistors(&CrossingMatrix::filled(MeaGrid::square(n), r))
-    }
-
-    #[test]
-    fn node_and_edge_counts() {
-        let g = uniform(3, 2000.0);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 9);
-    }
 
     #[test]
     fn node_index_roundtrip() {
@@ -149,48 +62,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn node_index_bounds_checked() {
         let _ = WireId::Vertical(4).node_index(MeaGrid::new(3, 4));
-    }
-
-    #[test]
-    fn cyclomatic_number_matches_betti() {
-        for n in 2..=5 {
-            let g = uniform(n, 1000.0);
-            assert_eq!(g.cyclomatic_number(), (n - 1) * (n - 1));
-            let betti = betti_numbers(&g.to_complex());
-            assert_eq!(betti[1], g.cyclomatic_number());
-        }
-    }
-
-    #[test]
-    fn neighbors_are_opposite_orientation() {
-        let g = uniform(3, 500.0);
-        let nh = g.neighbors(WireId::Horizontal(1));
-        assert_eq!(nh.len(), 3);
-        assert!(nh.iter().all(|(w, _)| matches!(w, WireId::Vertical(_))));
-        let nv = g.neighbors(WireId::Vertical(2));
-        assert_eq!(nv.len(), 3);
-        assert!(nv.iter().all(|(w, _)| matches!(w, WireId::Horizontal(_))));
-    }
-
-    #[test]
-    fn conductance_is_reciprocal_resistance() {
-        let mut r = CrossingMatrix::filled(MeaGrid::square(2), 4.0);
-        r.set(0, 1, 8.0);
-        let g = CircuitGraph::from_resistors(&r);
-        assert!((g.conductance(0, 0) - 0.25).abs() < 1e-15);
-        assert!((g.conductance(0, 1) - 0.125).abs() < 1e-15);
-    }
-
-    #[test]
-    fn weighted_degree_sums_conductances() {
-        let g = uniform(4, 2.0); // each conductance = 0.5
-        assert!((g.weighted_degree(WireId::Horizontal(0)) - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-physical")]
-    fn rejects_nonpositive_resistance() {
-        let r = CrossingMatrix::filled(MeaGrid::square(2), -5.0);
-        let _ = CircuitGraph::from_resistors(&r);
     }
 }

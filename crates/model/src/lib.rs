@@ -5,8 +5,8 @@
 //!
 //! * [`grid`] — the `m×n` MEA geometry: wires, joints (Figure 1 numbering),
 //!   resistor grids and measured-impedance matrices,
-//! * [`graph`] — the circuit-graph abstraction (wire-level `K_{m,n}`) with
-//!   cyclomatic numbers,
+//! * [`graph`] — the wire-node identifiers ([`WireId`]) of the wire-level
+//!   `K_{m,n}`,
 //! * [`paths`] — the exponential all-pairs path baseline of §II-C: simple
 //!   path enumeration, the `n^(n+1)` growth estimate, and the naive
 //!   parallel-resistor aggregation formula,
@@ -39,7 +39,7 @@ pub use anomaly::{AnomalyConfig, AnomalyRegion};
 pub use binfmt::{BinFile, BinSection};
 pub use dataset::{DatasetError, Measurement, WetLabDataset};
 pub use forward::{ForwardSolver, ForwardWorkspace, PairPotentials};
-pub use graph::{CircuitGraph, WireId};
+pub use graph::WireId;
 pub use grid::{CrossingMatrix, MeaGrid, ResistorGrid, ZMatrix};
 pub use mapped::MappedFile;
 pub use noise::NoiseModel;

@@ -37,16 +37,6 @@ impl TraceContext {
     pub fn is_set(&self) -> bool {
         self.trace_id != 0
     }
-
-    /// `trace_id` as the canonical 12-digit lowercase hex string.
-    pub fn trace_hex(&self) -> String {
-        format_id(self.trace_id)
-    }
-
-    /// `span_id` as the canonical 12-digit lowercase hex string.
-    pub fn span_hex(&self) -> String {
-        format_id(self.span_id)
-    }
 }
 
 /// Formats a 48-bit id as 12 lowercase hex digits (zero-padded, so ids

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates four ways to run the joint-constraint workload:
 //!
-//! * **Single-thread** — the serialized baseline of ref [15],
+//! * **Single-thread** — the serialized baseline of ref \[15\],
 //! * **Parallel** — exactly four threads, one per constraint category
 //!   (source / destination / `Ua` / `Ub`); bounded by the category skew,
 //! * **Balanced Parallel** — deterministic work balancing across `k`

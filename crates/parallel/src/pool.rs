@@ -16,7 +16,7 @@
 //! Every job runs under `catch_unwind`: a panicking job poisons only its
 //! own result slot, never the worker, the pool, or the other jobs. Results
 //! are written into pre-allocated slots through a `Sync` unsafe cell, and
-//! each slot carries an atomic written flag — [`Slots::into_options`] reads
+//! each slot carries an atomic written flag — `Slots::into_options` reads
 //! a slot only when its flag is set, so a poisoned (never-written) slot
 //! yields `None` instead of uninitialized memory. [`WorkStealingPool::run`]
 //! surfaces the per-slot outcomes plus a [`JobPanic`] record per poisoned

@@ -23,7 +23,7 @@ pub struct WorkItem {
 /// A parallel execution strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
-    /// The serialized baseline of ref [15].
+    /// The serialized baseline of ref \[15\].
     SingleThread,
     /// One dedicated thread per constraint category (§IV-A). The paper
     /// notes this cannot use more than four threads and saturates early.

@@ -491,7 +491,15 @@ fn serve_worker(mut stream: TcpStream, shared: &Shared) -> Result<(), FrameError
         }
     };
     std::thread::scope(|scope| {
-        scope.spawn(|| dispatch_loop(dispatch_stream, shared, id));
+        let dispatcher = std::thread::Builder::new()
+            .spawn_scoped(scope, || dispatch_loop(dispatch_stream, shared, id));
+        if dispatcher.is_err() {
+            // No thread to feed it: retire the worker, or its id stays live
+            // and pending shards never fall back. Returning drops the
+            // stream, so the worker sees EOF.
+            worker_dead(shared, id);
+            return;
+        }
         reader_loop(&mut stream, shared, id);
     });
     Ok(())

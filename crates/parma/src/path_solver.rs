@@ -1,6 +1,6 @@
 //! The exponential path-based baseline solver of §II-C.
 //!
-//! The pre-Parma literature (the paper's ref [15]) modeled each measured
+//! The pre-Parma literature (the paper's ref \[15\]) modeled each measured
 //! impedance as all end-to-end paths in parallel,
 //! `Z_ij⁻¹ = Σ_k P_k(R)⁻¹`, and solved the resulting `n²` nonlinear
 //! equations over the exponential path set. This module implements exactly

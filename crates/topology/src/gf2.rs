@@ -117,12 +117,6 @@ impl GF2Matrix {
         }
     }
 
-    /// Whether row `r` is entirely zero.
-    pub fn row_is_zero(&self, r: usize) -> bool {
-        let w = self.words_per_row;
-        self.data[r * w..(r + 1) * w].iter().all(|&x| x == 0)
-    }
-
     /// Matrix product over GF(2). Panics on shape mismatch.
     pub fn mul(&self, rhs: &GF2Matrix) -> GF2Matrix {
         assert_eq!(self.cols, rhs.rows, "GF2Matrix::mul shape mismatch");

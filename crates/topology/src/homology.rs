@@ -22,20 +22,12 @@ pub struct HomologyGroup {
     pub cycle_rank: usize,
     /// rank Bᵏ = dim im ∂ₖ₊₁.
     pub boundary_rank: usize,
-    /// Betti number βₖ = cycle_rank − boundary_rank.
+    /// Betti number βₖ = cycle_rank − boundary_rank. Hᵏ is an elementary
+    /// abelian 2-group of order `2^βₖ` (the paper's `βₖ = log |Hᵏ|`).
     pub betti: usize,
     /// Representative cycles for a set of generators of Hᵏ: a subset of a
     /// kernel basis of ∂ₖ whose classes are independent modulo Bᵏ.
     pub generators: Vec<Chain>,
-}
-
-impl HomologyGroup {
-    /// `log₂ |Hᵏ|` — identical to [`Self::betti`] since the group is an
-    /// elementary abelian 2-group of order `2^betti` (the paper's
-    /// `βₖ = log |Hᵏ|`).
-    pub fn log2_order(&self) -> usize {
-        self.betti
-    }
 }
 
 /// Computes all homology groups `H⁰..H^dim` of a complex, with generator

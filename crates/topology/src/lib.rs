@@ -40,25 +40,21 @@
 
 mod boundary;
 mod chain;
-pub mod cochain;
 mod complex;
 pub mod cycles;
 mod gf2;
 mod homology;
 pub mod lattice;
 pub mod mea_complex;
-pub mod partition;
 pub mod persistence;
 mod simplex;
 
 pub use boundary::BoundaryOperator;
 pub use chain::Chain;
-pub use cochain::{cohomology_betti_numbers, CoboundaryOperator, Cochain};
 pub use complex::{ComplexError, SimplicialComplex};
 pub use cycles::{fundamental_cycles, CycleBasis, FundamentalCycle};
 pub use gf2::GF2Matrix;
 pub use homology::{betti_numbers, euler_characteristic, homology, HomologyGroup};
 pub use mea_complex::{mea_to_complex, MeaComplexReport};
-pub use partition::{partition_cycles, CyclePartition, CycleShare};
 pub use persistence::{persistence_barcode, Barcode, Filtration, PersistenceInterval};
 pub use simplex::Simplex;
