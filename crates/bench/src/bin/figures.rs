@@ -378,7 +378,7 @@ fn throughput(full: bool) {
                 grid,
                 measurements: vec![mea_model::Measurement {
                     hours: 0,
-                    voltage: ParmaConfig::default().voltage,
+                    voltage: 5.0,
                     z,
                     ground_truth: Some(truth),
                 }],

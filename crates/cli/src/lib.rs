@@ -51,6 +51,13 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), CliErro
         return Err(usage().into());
     }
     let command = raw[0].as_str();
+    // `--help` or `-h` anywhere among a command's tokens asks for the
+    // usage. It is answered before parsing, where it would read as a flag
+    // missing its value.
+    if flags_read_by(command).is_some() && raw[1..].iter().any(|t| t == "--help" || t == "-h") {
+        let _ = writeln!(out, "{}", usage());
+        return Ok(());
+    }
     // `batch` takes a positional operand (the dataset directory) plus the
     // value-less `--resume`/`--quiet` switches; `bench` and `obs` take a
     // subcommand with file operands; every other command is pure
@@ -142,8 +149,8 @@ parma — microelectrode-array parametrization (Tawose et al., IPDPS 2022)
 USAGE:
   parma generate  --n <N> [--rows R --cols C] [--seed S] [--regions K] --out <file>
   parma solve     --input <file> [--tol E] [--detect F] [--prominence P]
-                  [--trace <file>]   write a JSON trace (stage timings, solver
-                                     residual curves, scheduler stats)
+                  [--trace <file>]   write a JSON trace (stage timings,
+                                     solver and scheduler counters)
   parma convert   <in> <out> [--to text|binary]
   parma batch     <dir> [--threads T] [--tol E] [--detect F] [--trace <file>|-]
                   [--journal <file>] [--resume] [--max-retries N]
@@ -251,6 +258,17 @@ mod tests {
     }
 
     #[test]
+    fn command_help_prints_usage_and_succeeds() {
+        for command in ["solve", "batch", "serve"] {
+            let text = run_str(&[command, "--help"])
+                .unwrap_or_else(|e| panic!("parma {command} --help failed: {e}"));
+            assert!(text.contains("USAGE"), "{command}: {text}");
+        }
+        let text = run_str(&["solve", "--tol", "1e-9", "-h"]).unwrap();
+        assert!(text.contains("USAGE"), "{text}");
+    }
+
+    #[test]
     fn empty_and_unknown_commands_error() {
         assert!(run(&[], &mut Vec::new()).is_err());
         let err = run_str(&["frobnicate"]).unwrap_err();
@@ -330,7 +348,7 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("\"config_hash\":\""), "{out}");
-        assert!(out.contains("\"pipeline/run\""), "{out}");
+        assert!(out.contains("\"parma/solve\""), "{out}");
         assert!(!out.contains("trace written"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -367,7 +385,7 @@ mod tests {
             text.starts_with('{') && text.ends_with('}'),
             "not a JSON object"
         );
-        for marker in ["\"pipeline/run\"", "parma.solver.residuals", "total_ms"] {
+        for marker in ["\"parma/solve\"", "parma.solver.iterations", "total_ms"] {
             assert!(text.contains(marker), "trace missing {marker}");
         }
         std::fs::remove_file(&data).ok();

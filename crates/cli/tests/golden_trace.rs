@@ -1,8 +1,8 @@
 //! Golden-trace regression test: a pinned dataset run with `--trace`
-//! must produce JSON whose *schema* — required span paths, counter and
-//! series keys, and their relative ordering — never drifts. Wall times are
-//! machine noise and are deliberately not pinned; keys and structure are
-//! the contract downstream tooling parses.
+//! must produce JSON whose *schema* — the stage span paths with their
+//! counts, the counter keys, and their relative ordering — never drifts.
+//! Wall times are machine noise and are deliberately not pinned; keys,
+//! counts and structure are the contract downstream tooling parses.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -29,19 +29,28 @@ fn offset_of(hay: &str, needle: &str) -> usize {
         .unwrap_or_else(|| panic!("trace is missing {needle:?}"))
 }
 
-/// Extracts the first recording of a series as a crude element count
-/// (schema check only — values are wall times and not pinned).
-fn first_series_len(json: &str, key: &str) -> usize {
-    let start = offset_of(json, &format!("\"{key}\":[["));
-    let rest = &json[start..];
-    let open = rest.find("[[").expect("series opens");
-    let close = rest.find(']').expect("series closes");
-    let inner = &rest[open + 2..close];
-    if inner.trim().is_empty() {
-        0
-    } else {
-        inner.split(',').count()
-    }
+/// The trace's spans as `(path, count)`, in document order.
+fn spans(json: &str) -> Vec<(String, u64)> {
+    let doc = mea_obs::json::parse(json.trim()).expect("the trace is one JSON value");
+    doc.get("spans")
+        .and_then(|s| s.as_arr())
+        .expect("the trace has a spans array")
+        .iter()
+        .map(|s| {
+            let path = s.get("path").and_then(|p| p.as_str()).expect("span path");
+            let count = s.get("count").and_then(|c| c.as_f64()).expect("span count");
+            (path.to_string(), count as u64)
+        })
+        .collect()
+}
+
+/// A counter of the trace, 0 when absent.
+fn counter(json: &str, name: &str) -> u64 {
+    let doc = mea_obs::json::parse(json.trim()).expect("the trace is one JSON value");
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(|v| v.as_f64())
+        .map_or(0, |v| v as u64)
 }
 
 #[test]
@@ -76,56 +85,46 @@ fn solve_trace_schema_is_stable() {
         "not a JSON object"
     );
 
-    // Top-level sections, in order.
+    // Top-level sections, in order; residual curves are not in the trace.
     let spans_at = offset_of(json, "\"spans\":[");
     let counters_at = offset_of(json, "\"counters\":{");
-    let series_at = offset_of(json, "\"series\":{");
-    assert!(spans_at < counters_at && counters_at < series_at);
+    assert!(spans_at < counters_at);
+    assert!(!json.contains("\"series\""), "{json}");
 
-    // Stage spans of one session solve, lexicographic (= stable) order:
-    // the pipeline root, then its nested time points, solves, detection,
-    // and the per-iteration kernel spans inside each solve (workspace
-    // refactor with its factor phase, then the sweep).
-    let stages = [
-        "\"pipeline/run\"",
-        "\"pipeline/run/time_point\"",
-        "\"pipeline/run/time_point/detect\"",
-        "\"pipeline/run/time_point/parma/solve\"",
-        "\"pipeline/run/time_point/parma/solve/refactor\"",
-        "\"pipeline/run/time_point/parma/solve/refactor/factor\"",
-        "\"pipeline/run/time_point/parma/solve/sweep\"",
-    ];
-    let mut prev = spans_at;
-    for stage in stages {
-        let at = offset_of(json, stage);
-        assert!(at > prev, "stage {stage} out of order");
-        prev = at;
-    }
+    // Exactly the stages of one session solve, in name order: the forward
+    // refactor, then detection, solve and sweep per time point.
+    let spans = spans(json);
+    let paths: Vec<&str> = spans.iter().map(|(p, _)| p.as_str()).collect();
+    assert_eq!(
+        paths,
+        [
+            "model/forward/refactor",
+            "parma/detect",
+            "parma/solve",
+            "parma/sweep"
+        ]
+    );
     // Every span record carries the full stat schema.
     for field in ["\"path\":", "\"count\":", "\"total_ms\":", "\"max_ms\":"] {
         assert!(json.contains(field), "span records missing {field}");
     }
 
-    // Counters and series the solver always emits.
-    for key in [
-        "\"parma.solver.solves\":",
-        "\"parma.solver.iterations\":",
-        "\"parma.solver.recoveries\":",
-    ] {
-        // recoveries only appears when the ladder fires; require the
-        // always-on pair and tolerate the optional one.
-        if key.contains("recoveries") {
-            continue;
-        }
+    // Counters the solver always emits (recoveries only when the ladder
+    // fires).
+    for key in ["\"parma.solver.solves\":", "\"parma.solver.iterations\":"] {
         assert!(json.contains(key), "missing counter {key}");
     }
-    offset_of(json, "\"parma.solver.residuals\":[[");
-    // One residual history per time point (0/6/12/24 h).
-    let histories = json[series_at..].match_indices("],[").count();
-    assert!(
-        histories >= 3,
-        "expected 4 residual recordings, saw separators {histories}"
-    );
+    // One solve and one detection per time point (0/6/12/24 h); every
+    // solve converges, and each refactors and sweeps once per iteration
+    // plus once for the converging one.
+    let time_points = 4;
+    assert_eq!(counter(json, "parma.solver.solves"), time_points);
+    let per_iteration = counter(json, "parma.solver.iterations") + time_points;
+    let count = |path: &str| spans.iter().find(|(p, _)| p == path).unwrap().1;
+    assert_eq!(count("parma/solve"), time_points);
+    assert_eq!(count("parma/detect"), time_points);
+    assert_eq!(count("parma/sweep"), per_iteration);
+    assert_eq!(count("model/forward/refactor"), per_iteration);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -160,46 +159,29 @@ fn batch_trace_schema_is_stable() {
     .unwrap();
     let json = std::fs::read_to_string(&trace).unwrap();
 
-    // Batch spans: the aggregate span, then per-item spans and the
-    // pipeline stages nested beneath them (worker threads root their own
-    // span stacks at the item).
-    let batch_at = offset_of(&json, "\"parma/batch\"");
-    let item_at = offset_of(&json, "\"parma/batch/item\"");
-    let nested_at = offset_of(&json, "\"parma/batch/item/pipeline/run\"");
-    assert!(
-        batch_at < item_at && item_at < nested_at,
-        "span order drifted"
+    // The session stages, plus one item per dataset: every attempt is
+    // timed, and these healthy datasets need one attempt each.
+    let spans = spans(&json);
+    let paths: Vec<&str> = spans.iter().map(|(p, _)| p.as_str()).collect();
+    assert_eq!(
+        paths,
+        [
+            "model/forward/refactor",
+            "parma/batch/item",
+            "parma/detect",
+            "parma/solve",
+            "parma/sweep"
+        ]
     );
-    offset_of(
-        &json,
-        "\"parma/batch/item/pipeline/run/time_point/parma/solve\"",
-    );
-    // The per-iteration kernel spans surface beneath batch items too.
-    offset_of(
-        &json,
-        "\"parma/batch/item/pipeline/run/time_point/parma/solve/refactor/factor\"",
-    );
-    offset_of(
-        &json,
-        "\"parma/batch/item/pipeline/run/time_point/parma/solve/sweep\"",
-    );
+    let count = |path: &str| spans.iter().find(|(p, _)| p == path).unwrap().1;
+    assert_eq!(count("parma/batch/item"), 2);
+    assert_eq!(count("parma/solve"), 8);
+    assert_eq!(count("parma/detect"), 8);
 
-    // Batch counters, and the per-item wall-time series with one entry
-    // per dataset in id (= filename) order.
+    // Batch counters.
     offset_of(&json, "\"parma.batch.items\":2");
     offset_of(&json, "\"parma.batch.failures\":0");
-    assert_eq!(
-        first_series_len(&json, "parma.batch.item_ms"),
-        2,
-        "one wall time per dataset"
-    );
-
-    // The aggregate span ran exactly once.
-    let batch_record = &json[batch_at..batch_at + 200];
-    assert!(
-        batch_record.contains("\"count\":1"),
-        "aggregate batch span must run once: {batch_record}"
-    );
+    assert!(!json.contains("\"series\""), "{json}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

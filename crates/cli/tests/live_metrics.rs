@@ -47,11 +47,15 @@ fn batch_metrics_endpoint_serves_exposition_and_snapshot() {
 
     // Scrape until the run's counters show up (the listener is live from
     // before the first solve, so early scrapes may legitimately be empty).
+    // Each time point's detection is recorded after its solve is counted,
+    // so the last detection marks a finished run.
     let deadline = Instant::now() + Duration::from_secs(60);
     let text = loop {
         let (status, body) = mea_obs::serve::http_get(addr, "/metrics").expect("scrape /metrics");
         assert!(status.contains("200"), "{status}");
-        if body.contains("parma_solver_solves_total 12") {
+        if body.contains("parma_solver_solves_total 12")
+            && body.contains("parma_detect_ms_count 12")
+        {
             break body;
         }
         assert!(
@@ -73,6 +77,8 @@ fn batch_metrics_endpoint_serves_exposition_and_snapshot() {
     assert!(text.contains("parma_solve_ms_count 12"), "{text}");
     assert!(text.contains("parma_solve_ms_p50 "), "{text}");
     assert!(text.contains("parma_solve_ms_p99 "), "{text}");
+    // Detection, a stage of every time point, is live too.
+    assert!(text.contains("# TYPE parma_detect_ms histogram"), "{text}");
     // Batch bookkeeping counters.
     assert!(text.contains("parma_batch_items_total 3"), "{text}");
 

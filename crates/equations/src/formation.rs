@@ -10,6 +10,10 @@
 use crate::constraint::{ConstraintCategory, Equation, FlowTerm, PotentialRef};
 use crate::unknowns::UnknownIndex;
 use mea_model::{MeaGrid, ZMatrix};
+use mea_obs::hist::Hist;
+
+/// Wall time of one sequential whole-array formation (ms).
+static FORM_ALL_MS: Hist = Hist::new("equations.form_all_ms");
 
 /// Forms the `2 + (cols−1) + (rows−1)` equations of one endpoint pair
 /// (`2n` for square arrays).
@@ -197,7 +201,7 @@ pub fn form_category_equations(
 /// baseline of §V). Measured impedances come from `z`; the same `voltage`
 /// is applied to every pair (5 V in the paper's lab).
 pub fn form_all_equations(z: &ZMatrix, voltage: f64) -> Vec<Equation> {
-    let _span = mea_obs::span("equations/form_all");
+    let _timer = FORM_ALL_MS.time();
     let grid = z.grid();
     let mut out = Vec::with_capacity(grid.equations());
     for (i, j) in grid.pair_iter() {

@@ -7,6 +7,10 @@
 use crate::csr::CsrMatrix;
 use crate::error::LinalgError;
 use crate::vec_ops;
+use mea_obs::hist::Hist;
+
+/// Wall time of one CG solve (ms).
+static CG_MS: Hist = Hist::new("linalg.cg_ms");
 
 /// Options for [`conjugate_gradient`].
 #[derive(Clone, Debug)]
@@ -94,12 +98,12 @@ pub fn conjugate_gradient(
     let mut rz = vec_ops::dot(&r, &z);
     let mut ap = vec![0.0; n];
 
-    let _span = mea_obs::span("linalg/cg");
-    let mut trace = mea_obs::SeriesRecorder::new("linalg.cg.residuals", "linalg.cg.iterations");
+    let _timer = CG_MS.time();
+    let count = |iterations: usize| mea_obs::counter_add("linalg.cg.iterations", iterations as u64);
     for it in 0..opts.max_iter {
         let rel = vec_ops::norm2(&r) / bnorm;
-        trace.push(rel);
         if rel <= opts.tol {
+            count(it);
             return Ok(CgOutcome {
                 x,
                 iterations: it,
@@ -110,6 +114,7 @@ pub fn conjugate_gradient(
         let pap = vec_ops::dot(&p, &ap);
         if pap <= 0.0 || !pap.is_finite() {
             // Matrix not positive definite along p (or breakdown).
+            count(it);
             return Err(LinalgError::InvalidInput(
                 "CG breakdown: matrix is not positive definite".into(),
             ));
@@ -125,6 +130,7 @@ pub fn conjugate_gradient(
             p[i] = z[i] + beta * p[i];
         }
     }
+    count(opts.max_iter);
     let rel = vec_ops::norm2(&r) / bnorm;
     if rel <= opts.tol {
         Ok(CgOutcome {

@@ -9,6 +9,10 @@
 use crate::csr::CsrMatrix;
 use crate::error::LinalgError;
 use crate::vec_ops;
+use mea_obs::hist::Hist;
+
+/// Wall time of one CGLS solve (ms).
+static CGLS_MS: Hist = Hist::new("linalg.cgls_ms");
 
 /// Options for [`cgls`].
 #[derive(Clone, Debug)]
@@ -109,12 +113,13 @@ pub fn cgls_into(
     ws.p.clear();
     ws.p.extend_from_slice(&ws.s);
     reset(&mut ws.q, a.rows());
-    let _span = mea_obs::span("linalg/cgls");
-    let mut trace = mea_obs::SeriesRecorder::new("linalg.cgls.residuals", "linalg.cgls.iterations");
+    let _timer = CGLS_MS.time();
+    let count =
+        |iterations: usize| mea_obs::counter_add("linalg.cgls.iterations", iterations as u64);
     for it in 0..opts.max_iter {
         let rel = gamma.sqrt() / s0_norm;
-        trace.push(rel);
         if rel <= opts.tol {
+            count(it);
             return Ok(CglsStats {
                 iterations: it,
                 residual: rel,
@@ -124,6 +129,7 @@ pub fn cgls_into(
         if qq <= 0.0 || !qq.is_finite() {
             // p ∈ ker A: the normal residual should already be ~0; treat
             // as converged at whatever level we reached.
+            count(it);
             return Ok(CglsStats {
                 iterations: it,
                 residual: rel,
@@ -139,6 +145,7 @@ pub fn cgls_into(
             *pi = si + beta * *pi;
         }
     }
+    count(opts.max_iter);
     let rel = gamma.sqrt() / s0_norm;
     if rel <= opts.tol {
         Ok(CglsStats {

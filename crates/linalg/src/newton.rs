@@ -8,6 +8,10 @@
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::vec_ops;
+use mea_obs::hist::Hist;
+
+/// Wall time of one Newton solve (ms).
+static NEWTON_MS: Hist = Hist::new("linalg.newton_ms");
 
 /// Options for [`newton_solve`].
 #[derive(Clone, Debug)]
@@ -73,9 +77,9 @@ where
             n
         )));
     }
-    let _span = mea_obs::span("linalg/newton");
-    let mut trace =
-        mea_obs::SeriesRecorder::new("linalg.newton.residuals", "linalg.newton.iterations");
+    let _timer = NEWTON_MS.time();
+    let count =
+        |iterations: usize| mea_obs::counter_add("linalg.newton.iterations", iterations as u64);
     // Reusable per-iteration state: one LU factor refactored in place plus
     // the step/candidate buffers, so the Newton loop itself allocates only
     // what the user-supplied closures allocate.
@@ -85,11 +89,12 @@ where
     let mut x_new = vec![0.0; n];
     for it in 0..opts.max_iter {
         let res = vec_ops::norm_inf(&fx);
-        trace.push(res);
         if !res.is_finite() {
+            count(it);
             return Err(LinalgError::InvalidInput("non-finite residual".into()));
         }
         if res <= opts.tol {
+            count(it);
             return Ok(NewtonOutcome {
                 x,
                 iterations: it,
@@ -129,6 +134,7 @@ where
             fx = f(&x);
         }
     }
+    count(opts.max_iter);
     let res = vec_ops::norm_inf(&fx);
     if res <= opts.tol {
         Ok(NewtonOutcome {

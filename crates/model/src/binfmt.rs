@@ -68,7 +68,9 @@
 //! scanned with a branch-free predicate (`v > 0` ∧ `v < ∞`, which also
 //! rejects NaN — autovectorizer-friendly) and the first offender is
 //! reported as a typed [`DatasetError::NonPhysical`] with its
-//! hour/row/col location. Corrupt records die at ingest, never mid-batch.
+//! hour/row/col location; a section's applied voltage must be finite and
+//! positive too ([`DatasetError::NonPhysicalVoltage`]). Corrupt records
+//! die at ingest, never mid-batch.
 
 use crate::dataset::{DatasetError, Measurement, WetLabDataset};
 use crate::grid::{CrossingMatrix, MeaGrid};
@@ -333,7 +335,8 @@ pub struct BinFile<'a> {
 impl<'a> BinFile<'a> {
     /// Parses and validates a container. Structural damage is a typed
     /// [`DatasetError::Parse`] or [`DatasetError::Corrupt`]; non-physical
-    /// values are [`DatasetError::NonPhysical`] with their location. A
+    /// values are [`DatasetError::NonPhysical`] with their location, and a
+    /// non-physical voltage is [`DatasetError::NonPhysicalVoltage`]. A
     /// file that parses is fully trustworthy — there is no lazy tail.
     pub fn parse(bytes: &'a [u8]) -> Result<BinFile<'a>, DatasetError> {
         let mut cur = Cursor { buf: bytes, pos: 0 };
@@ -407,6 +410,7 @@ impl<'a> BinFile<'a> {
                     "section {s} checksum mismatch (stored {stored:016x}, computed {actual:016x})"
                 )));
             }
+            let voltage = crate::dataset::physical_voltage(hours, voltage)?;
             let z = float_block(z_bytes);
             if let Some(bad) = first_nonphysical(z.as_slice()) {
                 return Err(DatasetError::NonPhysical {
@@ -546,6 +550,17 @@ mod tests {
                 hours, row, col, ..
             } => assert_eq!((hours, row, col), (6, 2, 1)),
             other => panic!("expected NonPhysical, got {other:?}"),
+        }
+        // A section's applied voltage is checked the same way.
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            let mut ds = session(3, 5);
+            ds.measurements[2].voltage = bad;
+            match BinFile::parse(&encode(&ds)).unwrap_err() {
+                DatasetError::NonPhysicalVoltage { hours, .. } => {
+                    assert_eq!(hours, ds.measurements[2].hours, "voltage {bad}")
+                }
+                other => panic!("voltage {bad}: expected NonPhysicalVoltage, got {other:?}"),
+            }
         }
     }
 

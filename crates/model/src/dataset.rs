@@ -41,6 +41,15 @@ pub enum DatasetError {
         /// The offending value as parsed.
         value: f64,
     },
+    /// A measurement's applied voltage is non-finite or not strictly
+    /// positive — rejected at ingestion like [`Self::NonPhysical`], so a
+    /// bad file is blamed on the file, never on the solver configuration.
+    NonPhysicalVoltage {
+        /// The measurement's hour stamp.
+        hours: u32,
+        /// The voltage as parsed.
+        value: f64,
+    },
     /// The forward solve failed (non-physical generated map — a bug).
     Solve(mea_linalg::LinalgError),
     /// A binary (`parma-bin/v1`) container failed an integrity check — a
@@ -65,6 +74,11 @@ impl fmt::Display for DatasetError {
                 f,
                 "non-physical measured impedance {value} at hour {hours}, row {row}, col {col} \
                  (values must be finite and strictly positive)"
+            ),
+            DatasetError::NonPhysicalVoltage { hours, value } => write!(
+                f,
+                "non-physical applied voltage {value} at hour {hours} \
+                 (voltages must be finite and strictly positive)"
             ),
             DatasetError::Solve(e) => write!(f, "dataset forward solve failed: {e}"),
             DatasetError::Corrupt(s) => write!(f, "binary dataset corrupt: {s}"),
@@ -242,7 +256,7 @@ impl WetLabDataset {
                     .ok_or_else(|| DatasetError::Parse("measurement missing voltage".into()))?
                     .parse()
                     .map_err(|e| DatasetError::Parse(format!("bad voltage: {e}")))?;
-                break (hours, voltage);
+                break (hours, physical_voltage(hours, voltage)?);
             };
             let mut values = Vec::new();
             for i in 0..rows {
@@ -328,6 +342,7 @@ impl WetLabDataset {
                 .ok_or_else(|| DatasetError::Parse("measurement missing voltage".into()))?
                 .parse()
                 .map_err(|e| DatasetError::Parse(format!("bad voltage: {e}")))?;
+            let voltage = physical_voltage(hours, voltage)?;
             let mut values = Vec::new();
             for i in 0..rows {
                 let row = lines
@@ -430,6 +445,20 @@ impl<R: Read> LineReader<R> {
             return Ok(None);
         }
         Ok(Some(self.buf.trim_end_matches(['\n', '\r'])))
+    }
+}
+
+/// A measurement's applied voltage, if it is finite and strictly
+/// positive. Every reader — both text readers and the binary container —
+/// checks it at ingestion.
+pub(crate) fn physical_voltage(hours: u32, voltage: f64) -> Result<f64, DatasetError> {
+    if voltage > 0.0 && voltage.is_finite() {
+        Ok(voltage)
+    } else {
+        Err(DatasetError::NonPhysicalVoltage {
+            hours,
+            value: voltage,
+        })
     }
 }
 
@@ -695,6 +724,21 @@ mod tests {
                     hours: h, row, col, ..
                 } => assert_eq!((h, row, col), (hours, 0, 1), "token {token}"),
                 other => panic!("token {token}: expected NonPhysical, got {other:?}"),
+            }
+            // The same tokens as the applied voltage, in both readers.
+            let text = format!(
+                "# parma-dataset v1\nrows 1\ncols 2\nmeasurement {hours} {token}\n1.0\t1.0\n"
+            );
+            for parsed in [
+                WetLabDataset::read_text(text.as_bytes()),
+                WetLabDataset::read_text_naive(text.as_bytes()),
+            ] {
+                match parsed.unwrap_err() {
+                    DatasetError::NonPhysicalVoltage { hours: h, .. } => {
+                        assert_eq!(h, hours, "voltage {token}")
+                    }
+                    other => panic!("voltage {token}: expected NonPhysicalVoltage, got {other:?}"),
+                }
             }
         }
     }

@@ -214,7 +214,6 @@ impl ForwardSolver {
                 "resistor map must be strictly positive and finite".into(),
             ));
         }
-        let _span = mea_obs::span("refactor");
         let (m, n) = (self.grid.rows(), self.grid.cols());
         for (g, &x) in self.conductances.iter_mut().zip(r.as_slice()) {
             *g = 1.0 / x;
@@ -236,11 +235,8 @@ impl ForwardSolver {
         } else {
             InverseScope::Full
         };
-        {
-            let _s = mea_obs::span("factor");
-            ws.bip
-                .factor_invert_into(&ws.sys, &mut self.minv, scope, par, should_stop)?;
-        }
+        ws.bip
+            .factor_invert_into(&ws.sys, &mut self.minv, scope, par, should_stop)?;
         self.hh_full = !ws.sweep_only;
         Ok(())
     }

@@ -7,7 +7,8 @@
 //! headers declaring any `rows` and `cols` up to `u64::MAX`:
 //!
 //! 1. **No input panics.** Each yields `Ok` or a typed [`DatasetError`]:
-//!    `Parse`, `NonPhysical`, or `Io` for bytes that are not UTF-8. (That
+//!    `Parse`, `NonPhysical`, `NonPhysicalVoltage`, or `Io` for bytes that
+//!    are not UTF-8. (That
 //!    a forged header reserves nothing is measured with the tracking
 //!    allocator in `text_decode_alloc.rs`.)
 //! 2. **The buffered reader and the naive reference agree**: on which
@@ -80,7 +81,12 @@ fn parse_both(bytes: &[u8]) -> Result<WetLabDataset, DatasetError> {
     let shown = String::from_utf8_lossy(bytes);
     for result in [&fast, &naive] {
         match result {
-            Ok(_) | Err(DatasetError::Parse(_) | DatasetError::NonPhysical { .. }) => {}
+            Ok(_)
+            | Err(
+                DatasetError::Parse(_)
+                | DatasetError::NonPhysical { .. }
+                | DatasetError::NonPhysicalVoltage { .. },
+            ) => {}
             Err(DatasetError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {}
             Err(other) => panic!("untyped failure {other:?} on {shown:?}"),
         }

@@ -8,8 +8,8 @@
 //! engine.
 //!
 //! Metric names are sanitized (dots → underscores) and counters get the
-//! conventional `_total` suffix. Span aggregates are exported as two
-//! counter families labelled by span path.
+//! conventional `_total` suffix. A timed stage is an ordinary histogram
+//! family (`parma_sweep_ms`).
 
 use crate::hist::{bucket_upper, HistSnapshot};
 use crate::Snapshot;
@@ -28,19 +28,6 @@ pub fn sanitize(name: &str) -> String {
     }
     if out.is_empty() {
         out.push('_');
-    }
-    out
-}
-
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -71,27 +58,6 @@ pub fn prometheus(snap: &Snapshot) -> String {
         let name = sanitize(name);
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", fmt_f64(*value));
-    }
-
-    if !snap.spans.is_empty() {
-        let _ = writeln!(out, "# TYPE parma_span_calls_total counter");
-        for s in &snap.spans {
-            let _ = writeln!(
-                out,
-                "parma_span_calls_total{{path=\"{}\"}} {}",
-                escape_label(&s.path),
-                s.count
-            );
-        }
-        let _ = writeln!(out, "# TYPE parma_span_seconds_total counter");
-        for s in &snap.spans {
-            let _ = writeln!(
-                out,
-                "parma_span_seconds_total{{path=\"{}\"}} {}",
-                escape_label(&s.path),
-                fmt_f64(s.total.as_secs_f64())
-            );
-        }
     }
 
     for (name, h) in &snap.hists {
@@ -185,8 +151,6 @@ pub fn looks_like_valid_exposition(text: &str) -> bool {
 mod tests {
     use super::*;
     use crate::hist;
-    use crate::SpanRecord;
-    use std::time::Duration;
 
     #[test]
     fn sanitize_maps_dots_and_leading_digits() {
@@ -200,12 +164,6 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.push(("parma.solver.solves".to_string(), 42));
         snap.gauges.push(("parallel.pool.threads".to_string(), 4.0));
-        snap.spans.push(SpanRecord {
-            path: "pipeline/solve".to_string(),
-            count: 3,
-            total: Duration::from_millis(1500),
-            max: Duration::from_millis(800),
-        });
         let h = hist::HistSnapshot::from_values(&[1.0, 1.0, 2.0, 4.0]);
         snap.hists.push(("parma.solve_ms".to_string(), h));
 
@@ -215,10 +173,6 @@ mod tests {
 parma_solver_solves_total 42
 # TYPE parallel_pool_threads gauge
 parallel_pool_threads 4.0
-# TYPE parma_span_calls_total counter
-parma_span_calls_total{path=\"pipeline/solve\"} 3
-# TYPE parma_span_seconds_total counter
-parma_span_seconds_total{path=\"pipeline/solve\"} 1.5
 # TYPE parma_solve_ms histogram
 parma_solve_ms_bucket{le=\"1.25\"} 2
 parma_solve_ms_bucket{le=\"2.5\"} 3

@@ -14,10 +14,15 @@
 //! interned once into a process-global table and leaked, so a
 //! [`Hist`] callsite handle resolves its `&'static Histogram` once and
 //! then records with zero lookups.
+//!
+//! A timed stage is a histogram whose name ends in `_ms`, recorded by the
+//! [`Hist::time`] drop guard; the trace document lists each one as a span
+//! (see [`crate::Snapshot::to_json`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Sub-buckets per power-of-two octave (must be a power of two).
 const SUBS: usize = 4;
@@ -307,16 +312,6 @@ pub fn histogram(name: &str) -> &'static Histogram {
     leaked
 }
 
-/// Records one observation into the named histogram. No-op when
-/// collection is off. Convenience for cold paths; hot paths should hold a
-/// [`Hist`] handle.
-pub fn record(name: &str, v: f64) {
-    if !crate::is_active() {
-        return;
-    }
-    histogram(name).record(v);
-}
-
 /// Zeroes every registered histogram in place. Called by [`crate::reset`].
 pub(crate) fn reset_all() {
     for h in TABLE.lock().unwrap().values() {
@@ -338,7 +333,9 @@ pub fn snapshot_all() -> Vec<(String, HistSnapshot)> {
 }
 
 /// A callsite handle: resolves the named histogram once, then records
-/// lock-free. Declare as `static H: Hist = Hist::new("parma.solve_ms")`.
+/// lock-free. Declare as `static H: Hist = Hist::new("parma.solve_ms")`;
+/// a stage's name ends in `_ms` and its trace path is the name without
+/// `_ms`, dots as slashes (`parma.solve_ms` is `parma/solve`).
 pub struct Hist {
     name: &'static str,
     cell: OnceLock<&'static Histogram>,
@@ -360,6 +357,32 @@ impl Hist {
             return;
         }
         self.cell.get_or_init(|| histogram(self.name)).record(v);
+    }
+
+    /// Times a stage: the returned guard records the milliseconds from
+    /// now until it drops, on every exit path. Started while collection
+    /// is off, it stays inert (one atomic load).
+    pub fn time(&self) -> Timer<'_> {
+        Timer {
+            hist: self,
+            start: crate::is_active().then(Instant::now),
+        }
+    }
+}
+
+/// The guard [`Hist::time`] returns: records the elapsed milliseconds
+/// into its histogram when dropped.
+#[must_use = "a timer measures until dropped; binding it to _ records zero"]
+pub struct Timer<'a> {
+    hist: &'a Hist,
+    start: Option<Instant>,
+}
+
+impl Drop for Timer<'_> {
+    fn drop(&mut self) {
+        if let Some(t0) = self.start {
+            self.hist.record(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
 }
 

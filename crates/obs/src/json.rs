@@ -40,30 +40,6 @@ pub fn number(out: &mut String, v: f64) {
     }
 }
 
-/// Writes a `[...]` array of f64.
-pub fn number_array(out: &mut String, vs: &[f64]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        number(out, *v);
-    }
-    out.push(']');
-}
-
-/// Writes a `[...]` array of usize.
-pub fn usize_array(out: &mut String, vs: &[usize]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
 /// Incremental object writer handling comma placement.
 pub struct Object<'a> {
     out: &'a mut String,
@@ -352,8 +328,6 @@ mod tests {
 
     #[test]
     fn arrays_and_objects_compose() {
-        assert_eq!(s(|o| number_array(o, &[1.0, 2.5])), "[1.0,2.5]");
-        assert_eq!(s(|o| usize_array(o, &[3, 4])), "[3,4]");
         let out = s(|o| {
             let mut obj = Object::begin(o);
             obj.field_str("name", "cg");

@@ -4,16 +4,14 @@
 //! vs. solving, per-worker busy time, iteration counts of the inner
 //! solvers. This crate provides the one shared instrument panel:
 //!
-//! * [`span`] — RAII wall-clock spans with thread-local nesting, so the
-//!   trace shows `pipeline/form_equations`, `pipeline/solve/cg`, …
+//! * [`hist`] — lock-free log-linear histograms for latency/iteration
+//!   distributions with p50/p90/p99 extraction. Every timed stage is one
+//!   `static` [`hist::Hist`] whose name ends in `_ms`, timed by the drop
+//!   guard [`hist::Hist::time`] (`parma.sweep_ms`,
+//!   `model.forward.refactor_ms`, `parma.detect_ms`, …),
 //! * [`counter_add`] — monotonic counters (solver iterations, retries,
 //!   steals),
 //! * [`gauge_set`] — last-value gauges (pool geometry, worker busy time),
-//! * [`record_series`] — numeric series (residual histories, per-worker
-//!   busy milliseconds), kept one `Vec<f64>` per recording so repeated
-//!   solves stay distinguishable,
-//! * [`hist`] — lock-free log-linear histograms for latency/iteration
-//!   distributions with p50/p90/p99 extraction,
 //! * [`events`] — a bounded lock-free flight recorder of structured
 //!   events (solve start/end, retries, quarantines, steals),
 //! * [`expo`] — Prometheus text-format 0.0.4 rendering of a snapshot,
@@ -28,23 +26,25 @@
 //! * [`timeline`] — clock-offset-corrected cross-process causal timeline
 //!   reconstruction (`parma-timeline/v1`),
 //! * [`snapshot`] / [`Snapshot::to_json`] — export to machine-readable
-//!   JSON for the CLI's `--trace <path>` flag and the bench harness.
+//!   JSON for the CLI's `--trace <path>` flag and the bench harness. The
+//!   trace's `spans` are the stage histograms: path `parma/sweep` is the
+//!   histogram `parma.sweep_ms`.
 //!
 //! Collection is **off by default** and the disabled fast path is a single
 //! relaxed atomic load — no allocation, no locking — so instrumented hot
 //! loops cost nothing in normal runs. Two independent gates share that
-//! load:
+//! load, and both turn on the same bounded instruments:
 //!
-//! * **trace** ([`set_enabled`]) — the original one-shot trace mode. It
-//!   additionally turns on spans and series, which grow without bound and
-//!   are therefore reserved for bounded runs that end in a trace dump.
-//! * **live** ([`set_live`]) — bounded-memory telemetry only: counters,
-//!   gauges, histograms and the event ring. Safe to leave on for hours;
-//!   this is what `--metrics-addr` uses.
+//! * **trace** ([`set_enabled`]) — one-shot runs that end in a trace dump
+//!   (`--trace`),
+//! * **live** ([`set_live`]) — long-running processes scraped while they
+//!   run (`--metrics-addr`, `parma serve`, `parma worker`).
 //!
-//! Registry recording happens at span *end* (and at explicit
-//! counter/series calls), never per loop iteration, so contention stays
-//! negligible; histograms and events bypass the registry mutex entirely.
+//! Every instrument is bounded — a histogram is a fixed set of buckets, a
+//! counter or gauge one registry entry per name — so either mode is safe
+//! to leave on for hours. Stage timers and events never take a lock;
+//! counters and gauges take the registry mutex once per call and allocate
+//! only on a name's first use.
 
 pub mod context;
 pub mod events;
@@ -56,48 +56,30 @@ pub mod json;
 pub mod serve;
 pub mod timeline;
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-/// Bit for trace mode: spans + series + everything live mode records.
+/// Bit for trace mode (a run that ends in a trace dump).
 const FLAG_TRACE: u8 = 1 << 0;
-/// Bit for live mode: counters, gauges, histograms, events only.
+/// Bit for live mode (a process scraped while it runs).
 const FLAG_LIVE: u8 = 1 << 1;
 
 static FLAGS: AtomicU8 = AtomicU8::new(0);
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
 
-thread_local! {
-    /// Stack of open span names on this thread; defines the path prefix.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
 struct Registry {
-    spans: BTreeMap<String, SpanStat>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    series: BTreeMap<String, Vec<Vec<f64>>>,
 }
 
 impl Registry {
     const fn new() -> Self {
         Registry {
-            spans: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            series: BTreeMap::new(),
         }
     }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct SpanStat {
-    count: u64,
-    total: Duration,
-    max: Duration,
 }
 
 /// Turns trace collection on or off. Turning it off does not clear data
@@ -106,14 +88,8 @@ pub fn set_enabled(on: bool) {
     set_flag(FLAG_TRACE, on);
 }
 
-/// Whether trace collection is currently on.
-pub fn is_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & FLAG_TRACE != 0
-}
-
-/// Turns bounded-memory live telemetry (counters, gauges, histograms,
-/// events) on or off, without enabling the unbounded span/series
-/// recording that trace mode adds.
+/// Turns live telemetry (counters, gauges, histograms, events) on or off,
+/// independently of trace mode.
 pub fn set_live(on: bool) {
     set_flag(FLAG_LIVE, on);
 }
@@ -123,8 +99,7 @@ pub fn is_live() -> bool {
     FLAGS.load(Ordering::Relaxed) & FLAG_LIVE != 0
 }
 
-/// Whether *any* collection is on — the gate for the bounded-memory
-/// instruments (counters, gauges, histograms, events).
+/// Whether *any* collection is on — the gate for every instrument.
 pub fn is_active() -> bool {
     FLAGS.load(Ordering::Relaxed) != 0
 }
@@ -137,222 +112,74 @@ fn set_flag(bit: u8, on: bool) {
     }
 }
 
-/// Clears all collected spans, counters, gauges, series, histograms and
-/// flight-recorder events.
+/// Clears all collected counters, gauges, histograms and flight-recorder
+/// events.
 pub fn reset() {
     let mut reg = REGISTRY.lock().unwrap();
-    reg.spans.clear();
     reg.counters.clear();
     reg.gauges.clear();
-    reg.series.clear();
     drop(reg);
     hist::reset_all();
     events::reset();
 }
 
-/// Opens a wall-clock span. The returned guard records the elapsed time
-/// into the registry when dropped, keyed by the `/`-joined path of spans
-/// open on this thread (`"pipeline/solve/cg"`). When tracing is disabled
-/// this is a no-op costing one atomic load.
-pub fn span(name: &str) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard {
-            path: None,
-            start: None,
-        };
-    }
-    let path = SPAN_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = if stack.is_empty() {
-            name.to_string()
-        } else {
-            let mut p = stack.join("/");
-            p.push('/');
-            p.push_str(name);
-            p
-        };
-        stack.push(name.to_string());
-        path
-    });
-    SpanGuard {
-        path: Some(path),
-        start: Some(Instant::now()),
-    }
-}
-
-/// RAII guard returned by [`span`]. Dropping it closes the span.
-#[must_use = "a span measures until dropped; binding it to _ closes it immediately"]
-pub struct SpanGuard {
-    path: Option<String>,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let (Some(path), Some(start)) = (self.path.take(), self.start) else {
-            return;
-        };
-        let elapsed = start.elapsed();
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        let mut reg = REGISTRY.lock().unwrap();
-        let stat = reg.spans.entry(path).or_default();
-        stat.count += 1;
-        stat.total += elapsed;
-        stat.max = stat.max.max(elapsed);
-    }
-}
-
 /// Adds `delta` to the named monotonic counter. No-op when neither trace
-/// nor live collection is on.
+/// nor live collection is on; allocates only the first time a name is
+/// used.
 pub fn counter_add(name: &str, delta: u64) {
     if !is_active() {
         return;
     }
     let mut reg = REGISTRY.lock().unwrap();
-    *reg.counters.entry(name.to_string()).or_insert(0) += delta;
+    match reg.counters.get_mut(name) {
+        Some(v) => *v += delta,
+        None => {
+            reg.counters.insert(name.to_string(), delta);
+        }
+    }
 }
 
 /// Sets the named gauge to its latest value (last write wins). No-op when
-/// neither trace nor live collection is on.
+/// neither trace nor live collection is on; allocates only the first time
+/// a name is used.
 pub fn gauge_set(name: &str, value: f64) {
     if !is_active() {
         return;
     }
     let mut reg = REGISTRY.lock().unwrap();
-    reg.gauges.insert(name.to_string(), value);
-}
-
-/// Records one numeric series (e.g. a residual history) under `name`.
-/// Repeated calls with the same name append separate series, preserving
-/// per-solve structure. Series grow without bound, so they are gated on
-/// trace mode only — live mode does not record them.
-pub fn record_series(name: &str, values: &[f64]) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.series
-        .entry(name.to_string())
-        .or_default()
-        .push(values.to_vec());
-}
-
-/// Collects one numeric series (typically a residual history) and records
-/// it on drop, together with an iteration counter. When tracing is
-/// disabled at construction the pushes are no-ops and nothing is
-/// recorded, so hot solver loops can push unconditionally. Drop-based
-/// recording means every exit path of a solver — convergence, breakdown,
-/// budget exhaustion — still lands in the trace.
-pub struct SeriesRecorder {
-    series_name: &'static str,
-    counter_name: &'static str,
-    values: Option<Vec<f64>>,
-}
-
-impl SeriesRecorder {
-    /// A recorder writing the series under `series_name` and adding the
-    /// series length to `counter_name` when dropped.
-    pub fn new(series_name: &'static str, counter_name: &'static str) -> Self {
-        SeriesRecorder {
-            series_name,
-            counter_name,
-            values: is_enabled().then(Vec::new),
+    match reg.gauges.get_mut(name) {
+        Some(v) => *v = value,
+        None => {
+            reg.gauges.insert(name.to_string(), value);
         }
     }
-
-    /// Appends one value (no-op when tracing was disabled at creation).
-    pub fn push(&mut self, v: f64) {
-        if let Some(values) = self.values.as_mut() {
-            values.push(v);
-        }
-    }
-}
-
-impl Drop for SeriesRecorder {
-    fn drop(&mut self) {
-        if let Some(values) = self.values.take() {
-            counter_add(self.counter_name, values.len() as u64);
-            record_series(self.series_name, &values);
-        }
-    }
-}
-
-/// Aggregated timing of one span path.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpanRecord {
-    /// `/`-joined nesting path.
-    pub path: String,
-    /// How many times the span closed.
-    pub count: u64,
-    /// Sum of elapsed wall-clock across closings.
-    pub total: Duration,
-    /// Longest single closing.
-    pub max: Duration,
 }
 
 /// A point-in-time copy of everything collected so far.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
-    /// Span timings sorted by path.
-    pub spans: Vec<SpanRecord>,
     /// Counters sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Gauges sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// Series sorted by name; each recording is kept separate.
-    pub series: Vec<(String, Vec<Vec<f64>>)>,
     /// Histogram snapshots sorted by name.
     pub hists: Vec<(String, hist::HistSnapshot)>,
-}
-
-impl Default for SpanRecord {
-    fn default() -> Self {
-        SpanRecord {
-            path: String::new(),
-            count: 0,
-            total: Duration::ZERO,
-            max: Duration::ZERO,
-        }
-    }
 }
 
 /// Copies the current registry contents, including histogram state.
 pub fn snapshot() -> Snapshot {
     let reg = REGISTRY.lock().unwrap();
-    let snap = Snapshot {
-        spans: reg
-            .spans
-            .iter()
-            .map(|(path, s)| SpanRecord {
-                path: path.clone(),
-                count: s.count,
-                total: s.total,
-                max: s.max,
-            })
-            .collect(),
-        counters: reg.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        gauges: reg.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        series: reg
-            .series
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-        hists: Vec::new(),
-    };
+    let counters = reg.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    let gauges = reg.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect();
     drop(reg);
-    let mut snap = snap;
-    snap.hists = hist::snapshot_all();
-    snap
+    Snapshot {
+        counters,
+        gauges,
+        hists: hist::snapshot_all(),
+    }
 }
 
 impl Snapshot {
-    /// Looks up a span record by exact path.
-    pub fn span(&self, path: &str) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.path == path)
-    }
-
     /// Looks up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -371,28 +198,22 @@ impl Snapshot {
         self.hists.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
-    /// Looks up all recordings of a series by name.
-    pub fn series(&self, name: &str) -> Option<&[Vec<f64>]> {
-        self.series
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_slice())
-    }
-
     /// Serializes the snapshot to a compact JSON document:
     ///
     /// ```json
     /// {
-    ///   "spans": [{"path": "...", "count": n, "total_ms": x, "max_ms": y}],
-    ///   "counters": {"name": n},
-    ///   "series": {"name": [[...], [...]]}
+    ///   "spans": [{"path": "parma/sweep", "count": n, "total_ms": x, "max_ms": y}],
+    ///   "counters": {"name": n}
     /// }
     /// ```
     ///
-    /// Gauges and histograms are deliberately *not* part of the trace
-    /// document — their bucket layout varies run to run with timing, and
-    /// the trace format is pinned by golden tests. They are exported by
-    /// [`Snapshot::to_json_full`] (the `/snapshot` endpoint) instead.
+    /// Each span is one stage histogram — a name ending in `_ms` — whose
+    /// path is the name without `_ms`, dots as slashes, with the
+    /// histogram's count, sum and max. Gauges and bucket layouts are
+    /// deliberately *not* part of the trace document — they vary run to
+    /// run with timing, and the trace format is pinned by golden tests.
+    /// They are exported by [`Snapshot::to_json_full`] (the `/snapshot`
+    /// endpoint) instead.
     pub fn to_json(&self) -> String {
         self.to_json_with_meta(&[])
     }
@@ -445,19 +266,23 @@ impl Snapshot {
         out
     }
 
-    /// Writes the pinned trace sections (spans, counters, series) in their
+    /// Writes the pinned trace sections (spans, counters) in their
     /// golden-test order into an open root object.
     fn write_core(&self, root: &mut json::Object<'_>) {
         let mut spans = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
+        let stages = self
+            .hists
+            .iter()
+            .filter_map(|(name, h)| Some((name.strip_suffix("_ms")?, h)));
+        for (i, (stage, h)) in stages.enumerate() {
             if i > 0 {
                 spans.push(',');
             }
             let mut obj = json::Object::begin(&mut spans);
-            obj.field_str("path", &s.path);
-            obj.field_u64("count", s.count);
-            obj.field_f64("total_ms", s.total.as_secs_f64() * 1e3);
-            obj.field_f64("max_ms", s.max.as_secs_f64() * 1e3);
+            obj.field_str("path", &stage.replace('.', "/"));
+            obj.field_u64("count", h.count);
+            obj.field_f64("total_ms", h.sum);
+            obj.field_f64("max_ms", h.max);
             obj.end();
         }
         spans.push(']');
@@ -472,24 +297,6 @@ impl Snapshot {
             obj.end();
         }
         root.field_raw("counters", &counters);
-
-        let mut series = String::new();
-        {
-            let mut obj = json::Object::begin(&mut series);
-            for (k, recordings) in &self.series {
-                let mut arr = String::from("[");
-                for (i, rec) in recordings.iter().enumerate() {
-                    if i > 0 {
-                        arr.push(',');
-                    }
-                    json::number_array(&mut arr, rec);
-                }
-                arr.push(']');
-                obj.field_raw(k, &arr);
-            }
-            obj.end();
-        }
-        root.field_raw("series", &series);
     }
 }
 
@@ -509,92 +316,89 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Hist;
 
     #[test]
     fn disabled_mode_records_nothing() {
+        static STAGE: Hist = Hist::new("lib.test.never_ms");
         let _g = test_guard();
         set_enabled(false);
         set_live(false);
         reset();
         {
-            let _s = span("never");
+            let _t = STAGE.time();
             counter_add("never", 3);
             gauge_set("never.g", 1.0);
-            record_series("never", &[1.0]);
         }
         let snap = snapshot();
-        assert!(snap.spans.is_empty());
+        assert!(snap.hist("lib.test.never_ms").is_none());
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
-        assert!(snap.series.is_empty());
     }
 
     #[test]
     fn live_mode_records_bounded_instruments_only() {
+        static STAGE: Hist = Hist::new("lib.test.live_ms");
         let _g = test_guard();
         set_enabled(false);
         set_live(true);
         reset();
         {
-            let _s = span("ignored");
+            let _t = STAGE.time();
             counter_add("live.count", 2);
             gauge_set("live.gauge", 4.5);
-            record_series("ignored", &[1.0]);
         }
         set_live(false);
         let snap = snapshot();
-        assert!(snap.spans.is_empty(), "live mode must not record spans");
-        assert!(snap.series.is_empty(), "live mode must not record series");
         assert_eq!(snap.counter("live.count"), Some(2));
         assert_eq!(snap.gauge("live.gauge"), Some(4.5));
+        assert_eq!(snap.hist("lib.test.live_ms").map(|h| h.count), Some(1));
     }
 
     #[test]
     fn spans_nest_into_paths() {
+        // A stage's trace path is its histogram name without `_ms`, dots
+        // as slashes; a histogram of anything but milliseconds is no
+        // stage.
+        static OUTER: Hist = Hist::new("lib.outer_ms");
+        static INNER: Hist = Hist::new("lib.outer.inner_ms");
         let _g = test_guard();
         set_enabled(true);
         reset();
         {
-            let _outer = span("outer");
-            {
-                let _inner = span("inner");
-            }
-            {
-                let _inner = span("inner");
+            let _outer = OUTER.time();
+            for _ in 0..2 {
+                let _inner = INNER.time();
             }
         }
+        hist::histogram("lib.outer.iters").record(3.0);
         set_enabled(false);
-        let snap = snapshot();
-        assert_eq!(snap.span("outer").unwrap().count, 1);
-        let inner = snap.span("outer/inner").unwrap();
-        assert_eq!(inner.count, 2);
-        assert!(inner.total >= inner.max);
+        let json = snapshot().to_json();
         assert!(
-            snap.span("inner").is_none(),
-            "nested span must not appear as a root path"
+            json.contains("{\"path\":\"lib/outer\",\"count\":1,"),
+            "{json}"
         );
+        assert!(
+            json.contains("{\"path\":\"lib/outer/inner\",\"count\":2,"),
+            "{json}"
+        );
+        assert!(!json.contains("iters"), "{json}");
     }
 
     #[test]
-    fn counters_and_series_accumulate() {
+    fn counters_accumulate() {
         let _g = test_guard();
         set_enabled(true);
         reset();
         counter_add("iters", 5);
         counter_add("iters", 2);
-        record_series("residuals", &[1.0, 0.5]);
-        record_series("residuals", &[2.0]);
         set_enabled(false);
-        let snap = snapshot();
-        assert_eq!(snap.counter("iters"), Some(7));
-        assert_eq!(
-            snap.series("residuals").unwrap(),
-            &[vec![1.0, 0.5], vec![2.0]]
-        );
+        assert_eq!(snapshot().counter("iters"), Some(7));
     }
 
     #[test]
     fn spans_from_many_threads_aggregate() {
+        static WORKER: Hist = Hist::new("lib.test.worker_ms");
         let _g = test_guard();
         set_enabled(true);
         reset();
@@ -602,7 +406,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..8 {
-                        let _s = span("worker");
+                        let _t = WORKER.time();
                         counter_add("ticks", 1);
                     }
                 });
@@ -610,27 +414,28 @@ mod tests {
         });
         set_enabled(false);
         let snap = snapshot();
-        assert_eq!(snap.span("worker").unwrap().count, 32);
+        assert_eq!(snap.hist("lib.test.worker_ms").unwrap().count, 32);
         assert_eq!(snap.counter("ticks"), Some(32));
     }
 
     #[test]
     fn snapshot_serializes_to_wellformed_json() {
+        static STAGE: Hist = Hist::new("stage_ms");
         let _g = test_guard();
         set_enabled(true);
         reset();
         {
-            let _s = span("stage");
+            let _t = STAGE.time();
         }
         counter_add("n", 1);
-        record_series("r", &[1.0, f64::NAN]);
         set_enabled(false);
         let json = snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"spans\":["));
-        assert!(json.contains("\"path\":\"stage\""));
-        assert!(json.contains("\"counters\":{\"n\":1}"));
-        assert!(json.contains("\"series\":{\"r\":[[1.0,null]]}"));
+        assert!(
+            json.starts_with("{\"spans\":[{\"path\":\"stage\",\"count\":1,\"total_ms\":"),
+            "{json}"
+        );
+        assert!(json.ends_with(",\"counters\":{\"n\":1}}"), "{json}");
         // Balanced braces/brackets — cheap structural sanity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -659,7 +464,7 @@ mod tests {
         set_live(true);
         reset();
         gauge_set("pool.threads", 4.0);
-        hist::record("lib.test.full_json", 2.0);
+        hist::histogram("lib.test.full_json").record(2.0);
         set_live(false);
         let json = snapshot().to_json_full(&[("schema", "parma-snapshot/v1")]);
         assert!(json.contains("\"gauges\":{\"pool.threads\":4.0}"), "{json}");
@@ -671,32 +476,38 @@ mod tests {
     }
 
     #[test]
-    fn series_recorder_records_on_drop() {
+    fn stage_timer_records_on_drop() {
+        static STAGE: Hist = Hist::new("lib.test.timer_ms");
         let _g = test_guard();
-        set_enabled(true);
+        set_live(true);
         reset();
         {
-            let mut rec = SeriesRecorder::new("rec.residuals", "rec.iterations");
-            rec.push(1.0);
-            rec.push(0.5);
+            let _t = STAGE.time();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            assert!(snapshot().hist("lib.test.timer_ms").is_none());
         }
-        set_enabled(false);
+        set_live(false);
         let snap = snapshot();
-        assert_eq!(snap.series("rec.residuals").unwrap(), &[vec![1.0, 0.5]]);
-        assert_eq!(snap.counter("rec.iterations"), Some(2));
+        let h = snap.hist("lib.test.timer_ms").expect("recorded on drop");
+        assert_eq!(h.count, 1);
+        assert!(h.max >= 2.0, "elapsed time is in milliseconds: {}", h.max);
     }
 
     #[test]
-    fn series_recorder_disabled_is_inert() {
+    fn stage_timer_disabled_is_inert() {
+        static STAGE: Hist = Hist::new("lib.test.inert_ms");
         let _g = test_guard();
         set_enabled(false);
         set_live(false);
         reset();
         {
-            let mut rec = SeriesRecorder::new("rec.residuals", "rec.iterations");
-            rec.push(1.0);
+            // Started while collection was off: inert even if collection
+            // turns on before it drops.
+            let _t = STAGE.time();
+            set_live(true);
         }
-        assert!(snapshot().series.is_empty());
+        set_live(false);
+        assert!(snapshot().hist("lib.test.inert_ms").is_none());
     }
 
     #[test]

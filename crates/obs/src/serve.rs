@@ -29,7 +29,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// One request, from accept to the response being ready to write (ms).
+static REQUEST_MS: crate::hist::Hist = crate::hist::Hist::new("parma.http.request_ms");
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD: usize = 8 * 1024;
@@ -248,7 +251,7 @@ fn handle_connection(
     meta: &[(String, String)],
     handler: Option<&Handler>,
 ) -> std::io::Result<()> {
-    let t0 = Instant::now();
+    let timer = REQUEST_MS.time();
     stream.set_read_timeout(Some(Duration::from_millis(5000)))?;
     stream.set_write_timeout(Some(Duration::from_millis(5000)))?;
     let response = match read_request(&mut stream) {
@@ -261,7 +264,7 @@ fn handle_connection(
     if response.status >= 400 {
         crate::counter_add("parma.http.errors", 1);
     }
-    crate::hist::record("parma.http.request_ms", t0.elapsed().as_secs_f64() * 1e3);
+    drop(timer);
     write_response(&mut stream, &response)
 }
 
@@ -502,8 +505,8 @@ mod tests {
         crate::set_live(true);
         crate::reset();
         crate::counter_add("serve.test.solves", 3);
-        crate::hist::record("serve.test.ms", 1.5);
-        crate::hist::record("serve.test.ms", 3.0);
+        crate::hist::histogram("serve.test.ms").record(1.5);
+        crate::hist::histogram("serve.test.ms").record(3.0);
         crate::events::emit_for(crate::events::EventKind::SolveOk, 0, 0, 1e-9);
 
         let mut server = MetricsServer::start(

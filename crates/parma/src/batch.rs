@@ -33,7 +33,6 @@ use crate::supervisor::{supervise, FailureReport, SupervisorConfig};
 use mea_model::{MeaGrid, ResistorGrid, WetLabDataset, ZMatrix};
 use mea_parallel::{ThreadBudget, WorkStealingPool};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Wall-clock per job attempt (ms).
 static ITEM_MS: mea_obs::hist::Hist = mea_obs::hist::Hist::new("parma.batch.item_ms");
@@ -77,18 +76,16 @@ pub fn execute(
     sup: &SupervisorConfig,
     on_done: &(dyn Fn(usize, &Outcome) + Sync),
 ) -> Vec<Outcome> {
-    let _span = mea_obs::span("parma/batch");
     let budget = ThreadBudget::split(threads, jobs.len());
     let pool = WorkStealingPool::new(budget.outer);
     let spare: Mutex<Vec<(MeaGrid, SolveScratch)>> = Mutex::new(Vec::new());
-    let times: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
     let ids: Vec<usize> = jobs.iter().map(|job| job.id).collect();
     let out = supervise(
         &pool,
         &ids,
         sup,
         &|k, escalation, token| {
-            let _item = mea_obs::span("parma/batch/item");
+            let _timer = ITEM_MS.time();
             let job = &jobs[k];
             let dataset = job.dataset;
             let mut scratch = take_scratch(&spare, dataset.grid);
@@ -96,7 +93,6 @@ pub fn execute(
             scratch.set_intra_threads(
                 budget.inner_capped(crate::betti::parallelism_bound(dataset.grid)),
             );
-            let t0 = Instant::now();
             let res = pipeline.escalated(escalation).run_session(
                 dataset,
                 token,
@@ -104,10 +100,6 @@ pub fn execute(
                 job.warm.clone(),
                 &mut scratch,
             );
-            times
-                .lock()
-                .expect("batch timing lock")
-                .push((k, t0.elapsed().as_secs_f64() * 1e3));
             spare
                 .lock()
                 .expect("scratch lock")
@@ -116,7 +108,11 @@ pub fn execute(
         },
         &|k, outcome| on_done(jobs[k].id, outcome),
     );
-    record_batch_obs(&times, &out);
+    mea_obs::counter_add("parma.batch.items", out.len() as u64);
+    mea_obs::counter_add(
+        "parma.batch.failures",
+        out.iter().filter(|r| r.is_err()).count() as u64,
+    );
     out
 }
 
@@ -134,25 +130,6 @@ fn take_scratch(spare: &Mutex<Vec<(MeaGrid, SolveScratch)>>, grid: MeaGrid) -> S
             SolveScratch::new()
         }
     }
-}
-
-/// Emits the batch counters and the job-ordered wall-time series
-/// (`parma.batch.items`, `parma.batch.failures`, `parma.batch.item_ms` —
-/// the schema the golden-trace test pins), attempts beyond the first
-/// contributing extra samples under the same job.
-fn record_batch_obs(times: &Mutex<Vec<(usize, f64)>>, out: &[Outcome]) {
-    let mut times = std::mem::take(&mut *times.lock().expect("batch timing lock"));
-    times.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let ms: Vec<f64> = times.into_iter().map(|(_, ms)| ms).collect();
-    mea_obs::counter_add("parma.batch.items", out.len() as u64);
-    mea_obs::counter_add(
-        "parma.batch.failures",
-        out.iter().filter(|r| r.is_err()).count() as u64,
-    );
-    for &v in &ms {
-        ITEM_MS.record(v);
-    }
-    mea_obs::record_series("parma.batch.item_ms", &ms);
 }
 
 #[cfg(test)]
@@ -174,14 +151,14 @@ mod tests {
             .collect()
     }
 
-    /// A one-time-point session around `z`, at the solver's default
-    /// voltage — so its solve is exactly `ParmaSolver::solve(z)`.
+    /// A one-time-point session around `z` — so its solve is exactly
+    /// `ParmaSolver::solve(z)`.
     fn single(z: &ZMatrix) -> WetLabDataset {
         WetLabDataset {
             grid: z.grid(),
             measurements: vec![Measurement {
                 hours: 0,
-                voltage: ParmaConfig::default().voltage,
+                voltage: 5.0,
                 z: z.clone(),
                 ground_truth: None,
             }],

@@ -5,8 +5,6 @@ use crate::error::ParmaError;
 /// Configuration of [`crate::ParmaSolver`].
 #[derive(Clone, Copy, Debug)]
 pub struct ParmaConfig {
-    /// Applied end-to-end voltage `U_ij` (volts; 5 V in the paper's lab).
-    pub voltage: f64,
     /// Damping factor α of the conductance fixed point, in (0, 1].
     pub damping: f64,
     /// Convergence target on the relative impedance mismatch
@@ -26,7 +24,6 @@ pub struct ParmaConfig {
 impl Default for ParmaConfig {
     fn default() -> Self {
         ParmaConfig {
-            voltage: 5.0,
             damping: 1.0,
             tol: 1e-10,
             max_iter: 500,
@@ -42,12 +39,6 @@ impl ParmaConfig {
     /// [`ParmaError::InvalidConfig`] instead of a panic.
     pub fn validate(&self) -> Result<(), ParmaError> {
         let fail = |msg: String| Err(ParmaError::InvalidConfig(msg));
-        if !(self.voltage > 0.0 && self.voltage.is_finite()) {
-            return fail(format!(
-                "voltage must be positive and finite, got {}",
-                self.voltage
-            ));
-        }
         if !(self.damping > 0.0 && self.damping <= 1.0) {
             return fail(format!("damping must be in (0, 1], got {}", self.damping));
         }
@@ -95,20 +86,6 @@ mod tests {
                     ..Default::default()
                 },
                 "damping",
-            ),
-            (
-                ParmaConfig {
-                    voltage: 0.0,
-                    ..Default::default()
-                },
-                "voltage",
-            ),
-            (
-                ParmaConfig {
-                    voltage: f64::NAN,
-                    ..Default::default()
-                },
-                "voltage",
             ),
             (
                 ParmaConfig {

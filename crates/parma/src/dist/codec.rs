@@ -253,7 +253,9 @@ pub fn encode_failure(report: &FailureReport) -> Vec<u8> {
 }
 
 /// Deserializes a quarantine result blob, event tail included (a blob
-/// cut short before it is [`DecodeError::Truncated`]).
+/// cut short before it is [`DecodeError::Truncated`]). Like
+/// [`decode_time_points`], every count is checked against the bytes left
+/// before anything is reserved for it.
 pub fn decode_failure(bytes: &[u8]) -> Result<FailureReport, DecodeError> {
     let mut r = PayloadReader::new(bytes);
     let tag = r.take_u8()?;
@@ -263,8 +265,9 @@ pub fn decode_failure(bytes: &[u8]) -> Result<FailureReport, DecodeError> {
     let item = r.take_u64()? as usize;
     let kind = failure_kind_from(r.take_u8()?)?;
     let detail = r.take_str()?.to_string();
-    let count = r.take_u64()? as usize;
-    let mut attempts = Vec::with_capacity(count.min(1 << 10));
+    // An attempt is at least its number, kind and detail length.
+    let count = take_count(&mut r, 17)?;
+    let mut attempts = Vec::with_capacity(count);
     for _ in 0..count {
         attempts.push(AttemptFailure {
             attempt: r.take_u64()? as usize,
@@ -272,10 +275,7 @@ pub fn decode_failure(bytes: &[u8]) -> Result<FailureReport, DecodeError> {
             detail: r.take_str()?.to_string(),
         });
     }
-    let ec = r.take_u64()? as usize;
-    if ec > 1 << 12 {
-        return Err(DecodeError::Truncated);
-    }
+    let ec = take_count(&mut r, 41)?;
     let mut events = Vec::with_capacity(ec);
     for _ in 0..ec {
         let seq = r.take_u64()?;

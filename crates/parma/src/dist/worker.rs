@@ -48,6 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// One assigned task, from receipt to its result blob (ms).
+static SOLVE_MS: mea_obs::hist::Hist = mea_obs::hist::Hist::new("parma.dist.worker.solve_ms");
+
 /// Maps an `Assign` payload blob to a result blob: `Ok` for a solved
 /// task, `Err` for a task the worker decided to fail (both are shipped
 /// back; transport errors are signalled by dying instead).
@@ -311,10 +314,7 @@ pub fn run_worker_with(
                         Err(b) => (1u8, b),
                     };
                     let t_end = now_us();
-                    mea_obs::hist::record(
-                        "parma.dist.worker.solve_ms",
-                        (t_end.saturating_sub(t_start)) as f64 / 1e3,
-                    );
+                    SOLVE_MS.record((t_end.saturating_sub(t_start)) as f64 / 1e3);
                     (status, body, t_start, t_end)
                 };
                 let mut payload = PayloadWriter::new();

@@ -11,14 +11,18 @@
 use crate::betti::BettiSchedule;
 use mea_equations::{form_category_equations, ConstraintCategory, Equation};
 use mea_model::ZMatrix;
+use mea_obs::hist::Hist;
 use mea_parallel::{execute, Strategy, CATEGORY_COUNT};
+
+/// Wall time of one whole-array formation under a strategy (ms).
+static FORM_EQUATIONS_MS: Hist = Hist::new("parma.form_equations_ms");
 
 /// Forms the full joint-constraint system under a strategy.
 ///
 /// Equations come back in the canonical order (pair-major; source,
 /// destination, `Ua*`, `Ub*` within each pair).
 pub fn form_equations_parallel(z: &ZMatrix, voltage: f64, strategy: Strategy) -> Vec<Equation> {
-    let _span = mea_obs::span("parma/form_equations");
+    let _timer = FORM_EQUATIONS_MS.time();
     let grid = z.grid();
     let schedule = BettiSchedule::new(grid);
     let items = schedule.formation_items();

@@ -16,7 +16,11 @@ use mea_equations::{EquationSystem, JacobianTemplate};
 use mea_linalg::{cgls, CooTriplets};
 use mea_linalg::{cgls_into, vec_ops, CglsOptions, CglsWorkspace, CsrMatrix, CsrPattern};
 use mea_model::{ForwardSolver, ForwardWorkspace, ResistorGrid, ZMatrix};
+use mea_obs::hist::Hist;
 use mea_parallel::{CancelToken, Interrupt};
+
+/// Wall time of one full-system Gauss-Newton solve (ms).
+static FULL_NEWTON_MS: Hist = Hist::new("parma.full_newton_ms");
 
 /// Options for [`full_newton_inverse`].
 #[derive(Clone, Copy, Debug)]
@@ -186,11 +190,9 @@ pub fn full_newton_supervised(
     let mut x = sys.exact_unknowns_for(&r0)?;
     let crossings = grid.crossings();
 
-    let _span = mea_obs::span("parma/full_newton");
-    let mut trace = mea_obs::SeriesRecorder::new(
-        "parma.full_newton.residuals",
-        "parma.full_newton.iterations",
-    );
+    let _timer = FULL_NEWTON_MS.time();
+    let count =
+        |iterations: usize| mea_obs::counter_add("parma.full_newton.iterations", iterations as u64);
     // Symbolic work happens exactly once per topology: the template freezes
     // the Jacobian's structure (and the damped retry's augmented structure);
     // every iteration below is a pure numeric refill, no sorting.
@@ -214,6 +216,7 @@ pub fn full_newton_supervised(
         // Iteration-boundary supervision only: no check inside the numeric
         // work, so an uninterrupted run keeps its bits.
         if let Some(interrupt) = token.check() {
+            count(it);
             return Err(match interrupt {
                 Interrupt::TimedOut => ParmaError::Timeout {
                     iterations: it,
@@ -223,8 +226,8 @@ pub fn full_newton_supervised(
             });
         }
         let res = vec_ops::norm_inf(&fx);
-        trace.push(res);
         if res <= opts.tol {
+            count(it);
             return Ok(FullNewtonOutcome {
                 resistors: sys.unpack_resistors(&x),
                 iterations: it,
@@ -282,6 +285,7 @@ pub fn full_newton_supervised(
             }
         }
         if !advanced {
+            count(it);
             return Err(ParmaError::NoConvergence {
                 iterations: it,
                 residual: res,
@@ -289,8 +293,8 @@ pub fn full_newton_supervised(
             });
         }
     }
+    count(opts.max_iter);
     let res = vec_ops::norm_inf(&fx);
-    trace.push(res);
     if res <= opts.tol {
         Ok(FullNewtonOutcome {
             resistors: sys.unpack_resistors(&x),

@@ -14,7 +14,11 @@ use crate::error::ParmaError;
 use crate::session::ratio_extrapolate;
 use crate::solver::{ParmaSolution, ParmaSolver, SolveScratch};
 use mea_model::WetLabDataset;
+use mea_obs::hist::Hist;
 use mea_parallel::CancelToken;
+
+/// Anomaly detection on one recovered map (ms).
+static DETECT_MS: Hist = Hist::new("parma.detect_ms");
 
 /// One time point's outcome.
 #[derive(Clone, Debug)]
@@ -101,15 +105,10 @@ impl Pipeline {
         warm_seed: Option<(mea_model::ResistorGrid, mea_model::ZMatrix)>,
         scratch: &mut SolveScratch,
     ) -> Result<Vec<TimePointResult>, ParmaError> {
-        let _span = mea_obs::span("pipeline/run");
+        let solver = ParmaSolver::new(self.config);
         let mut out: Vec<TimePointResult> = Vec::with_capacity(dataset.measurements.len());
         let mut warm = warm_seed;
         for m in &dataset.measurements {
-            let _tp = mea_obs::span("time_point");
-            let solver = ParmaSolver::new(ParmaConfig {
-                voltage: m.voltage,
-                ..self.config
-            });
             let init = match &warm {
                 Some((prev_r, prev_z)) if prev_r.grid() == m.z.grid() => {
                     Some(ratio_extrapolate(prev_r, prev_z, &m.z))
@@ -119,7 +118,7 @@ impl Pipeline {
             let solve_token = token.child(solve_budget);
             let solution = solver.solve_supervised(&m.z, init, scratch, &solve_token)?;
             let detection = {
-                let _d = mea_obs::span("detect");
+                let _timer = DETECT_MS.time();
                 detect_anomalies(&solution.resistors, self.detection_factor)
             };
             let ground_truth_error = m
@@ -192,11 +191,8 @@ mod tests {
             .unwrap();
         let mut warm_total = 0usize;
         let mut cold_total = 0usize;
+        let solver = ParmaSolver::new(ParmaConfig::default());
         for (r, m) in results[1..].iter().zip(&ds.measurements[1..]) {
-            let solver = ParmaSolver::new(ParmaConfig {
-                voltage: m.voltage,
-                ..Default::default()
-            });
             let cold = solver.solve(&m.z).unwrap();
             warm_total += r.solution.iterations;
             cold_total += cold.iterations;

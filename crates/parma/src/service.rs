@@ -30,13 +30,15 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// One job, from dequeue to decision (ms).
+static JOB_MS: mea_obs::hist::Hist = mea_obs::hist::Hist::new("parma.serve.job_ms");
 
 /// Everything that shapes the service's numeric output and its capacity.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Base solver configuration (per-measurement voltage is taken from
-    /// the dataset, as in the batch path).
+    /// Base solver configuration.
     pub solver: ParmaConfig,
     /// Anomaly-detection threshold factor.
     pub detection_factor: f64,
@@ -383,7 +385,7 @@ fn worker_loop(inner: &Inner) {
 }
 
 fn run_job(inner: &Inner, id: u64) {
-    let t0 = Instant::now();
+    let timer = JOB_MS.time();
     let (dataset, session) = {
         let mut jobs = inner.jobs.lock().expect("service job table lock");
         let record = jobs.get_mut(&id).expect("queued job has a record");
@@ -446,7 +448,7 @@ fn run_job(inner: &Inner, id: u64) {
             Err(report)
         }
     };
-    mea_obs::hist::record("parma.serve.job_ms", t0.elapsed().as_secs_f64() * 1e3);
+    drop(timer);
     if let Some(hook) = &inner.on_done {
         hook(id, &result);
     }
@@ -467,6 +469,7 @@ fn run_job(inner: &Inner, id: u64) {
 mod tests {
     use super::*;
     use mea_model::{AnomalyConfig, MeaGrid};
+    use std::time::Instant;
 
     fn session_data(n: usize, seed: u64) -> WetLabDataset {
         WetLabDataset::generate(MeaGrid::square(n), &AnomalyConfig::default(), seed).unwrap()

@@ -47,7 +47,6 @@ use mea_model::{ForwardSolver, ForwardWorkspace, MeaGrid, ResistorGrid, ZMatrix}
 use mea_obs::events::{emit as emit_event, EventKind};
 use mea_obs::hist::Hist;
 use mea_parallel::{CancelToken, Interrupt, WorkStealingPool};
-use std::time::Instant;
 
 /// Per-solve wall-clock latency (ms), across all exit paths.
 static SOLVE_MS: Hist = Hist::new("parma.solve_ms");
@@ -58,7 +57,7 @@ static SOLVE_RESIDUAL: Hist = Hist::new("parma.solve_residual");
 /// One damped update sweep over all pairs (ms).
 static SWEEP_MS: Hist = Hist::new("parma.sweep_ms");
 /// In-place refactorization of the scratch forward solver (ms).
-static REFACTOR_MS: Hist = Hist::new("model.forward_refactor_ms");
+static REFACTOR_MS: Hist = Hist::new("model.forward.refactor_ms");
 
 /// Result of a converged (or accepted) solve.
 #[derive(Clone, Debug)]
@@ -242,10 +241,9 @@ impl ParmaSolver {
                 seed
             }
         };
-        let _span = mea_obs::span("parma/solve");
         // Telemetry only: never influences the floating-point work, and
         // when collection is off this is one atomic load.
-        let solve_t0 = mea_obs::is_active().then(Instant::now);
+        let _timer = SOLVE_MS.time();
         emit_event(EventKind::SolveStart, 0, 0.0);
         // Destructure the scratch once so the forward-solver slot and its
         // factorization workspace borrow disjointly.
@@ -300,7 +298,7 @@ impl ParmaSolver {
                 // uninterrupted run performs exactly the unsupervised
                 // floating-point work (bitwise determinism contract).
                 if let Some(interrupt) = token.check() {
-                    return Err(interrupted_failure(interrupt, it, r, &history, solve_t0));
+                    return Err(interrupted_failure(interrupt, it, r, &history));
                 }
                 // The factorization itself polls the token at row-chunk
                 // granularity (the PR 6 overshoot fix): a deadline firing
@@ -310,12 +308,11 @@ impl ParmaSolver {
                     Ok(f) => f,
                     Err(ParmaError::Linalg(LinalgError::Cancelled)) => {
                         let interrupt = token.check().unwrap_or(Interrupt::Cancelled);
-                        return Err(interrupted_failure(interrupt, it, r, &history, solve_t0));
+                        return Err(interrupted_failure(interrupt, it, r, &history));
                     }
                     Err(e) => return Err(e),
                 };
                 forward_current = true;
-                let sweep_t0 = solve_t0.is_some().then(Instant::now);
                 let residual = sweep_into(
                     &self.config,
                     forward,
@@ -325,9 +322,6 @@ impl ParmaSolver {
                     shrink * recovery_damp,
                     &mut next,
                 );
-                if let Some(t0) = sweep_t0 {
-                    SWEEP_MS.record(t0.elapsed().as_secs_f64() * 1e3);
-                }
                 history.push(residual);
                 if residual <= self.config.tol {
                     break 'iterate Ok((it, residual));
@@ -442,10 +436,6 @@ impl ParmaSolver {
             Err(self.config.max_iter)
         };
         mea_obs::counter_add("parma.solver.solves", 1);
-        mea_obs::record_series("parma.solver.residuals", &history);
-        if let Some(t0) = solve_t0 {
-            SOLVE_MS.record(t0.elapsed().as_secs_f64() * 1e3);
-        }
         match outcome {
             Ok((iterations, residual)) => {
                 mea_obs::counter_add("parma.solver.iterations", iterations as u64);
@@ -468,8 +458,7 @@ impl ParmaSolver {
                     match ensure_forward(fwd_slot, ws, &r, grid, par, token) {
                         Ok(_) => {}
                         // Token fired during the final residual-check
-                        // refactor (solve-level telemetry was already
-                        // recorded above): map the interrupt directly.
+                        // refactor: map the interrupt directly.
                         Err(ParmaError::Linalg(LinalgError::Cancelled)) => {
                             mea_obs::counter_add("parma.solver.failures", 1);
                             mea_obs::counter_add("parma.solver.iterations", iterations as u64);
@@ -526,16 +515,11 @@ fn interrupted_failure(
     iterations: usize,
     r: ResistorGrid,
     history: &[f64],
-    solve_t0: Option<Instant>,
 ) -> ParmaError {
     mea_obs::counter_add("parma.solver.solves", 1);
     mea_obs::counter_add("parma.solver.failures", 1);
     mea_obs::counter_add("parma.solver.iterations", iterations as u64);
-    mea_obs::record_series("parma.solver.residuals", history);
-    if let Some(t0) = solve_t0 {
-        SOLVE_MS.record(t0.elapsed().as_secs_f64() * 1e3);
-        SOLVE_ITERS.record(iterations as f64);
-    }
+    SOLVE_ITERS.record(iterations as f64);
     emit_event(
         EventKind::SolveFailed,
         iterations as u64,
@@ -569,7 +553,7 @@ fn ensure_forward<'a>(
     };
     let stop = || token.check().is_some();
     let should_stop: Option<&(dyn Fn() -> bool + Sync)> = Some(&stop);
-    let t0 = mea_obs::is_active().then(Instant::now);
+    let _timer = REFACTOR_MS.time();
     if rebuild {
         *slot = Some(ForwardSolver::with_workspace_supervised(
             r,
@@ -581,9 +565,6 @@ fn ensure_forward<'a>(
         slot.as_mut()
             .expect("checked above")
             .refactor_supervised(r, ws, par, should_stop)?;
-    }
-    if let Some(t0) = t0 {
-        REFACTOR_MS.record(t0.elapsed().as_secs_f64() * 1e3);
     }
     Ok(slot.as_ref().expect("installed above"))
 }
@@ -609,7 +590,7 @@ fn sweep_into(
     shrink: f64,
     next: &mut ResistorGrid,
 ) -> f64 {
-    let _span = mea_obs::span("sweep");
+    let _timer = SWEEP_MS.time();
     // Damping: optimal for the uniform-map spectrum [λ_min, κ], times the
     // user multiplier, times the adaptive safeguard factor the outer loop
     // maintains (degenerate maps — e.g. a dead wire — couple more strongly

@@ -5,7 +5,8 @@
 //! of the same problem that differ only in iteration budget must allocate
 //! exactly the same number of times — every per-solve allocation is
 //! iteration-count independent, so any per-iteration allocation would
-//! show up as a difference.
+//! show up as a difference. The same holds with tracing on: the per-
+//! iteration stage timers record into lock-free histograms.
 
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid};
 use parma::prelude::CancelToken;
@@ -53,21 +54,35 @@ fn steady_state_iteration_allocates_nothing() {
     // threads occasionally allocate, so each budget is measured several
     // times and the minimum delta taken — harness noise is strictly
     // additive, while the solve itself is deterministic.
-    let mut measure = |max_iter: usize| {
+    let measure = |max_iter: usize, scratch: &mut SolveScratch| {
         (0..5)
             .map(|_| {
                 let base = mea_memtrack::allocation_count();
-                run(max_iter, &mut scratch) - base
+                run(max_iter, scratch) - base
             })
             .min()
             .unwrap()
     };
-    let short_delta = measure(30);
-    let long_delta = measure(80);
+    let short_delta = measure(30, &mut scratch);
+    let long_delta = measure(80, &mut scratch);
 
     assert_eq!(
         short_delta, long_delta,
         "50 extra sweep iterations must allocate zero extra times \
          (30-iter solve: {short_delta} allocations, 80-iter: {long_delta})"
+    );
+
+    // Tracing on, after a warm-up solve that interns the stage histograms
+    // and registers the counter names.
+    mea_obs::set_enabled(true);
+    run(30, &mut scratch);
+    let traced_short = measure(30, &mut scratch);
+    let traced_long = measure(80, &mut scratch);
+    mea_obs::set_enabled(false);
+
+    assert_eq!(
+        traced_short, traced_long,
+        "with tracing on, 50 extra sweep iterations must allocate zero extra \
+         times (30-iter solve: {traced_short} allocations, 80-iter: {traced_long})"
     );
 }

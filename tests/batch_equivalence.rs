@@ -19,14 +19,14 @@ fn measurements(n: usize, seeds: &[u64]) -> Vec<ZMatrix> {
         .collect()
 }
 
-/// A one-time-point session around `z` at the solver's default voltage,
-/// so the executor's solve of it is exactly `ParmaSolver::solve(z)`.
+/// A one-time-point session around `z`, so the executor's solve of it is
+/// exactly `ParmaSolver::solve(z)`.
 fn single(z: &ZMatrix) -> WetLabDataset {
     WetLabDataset {
         grid: z.grid(),
         measurements: vec![mea_model::Measurement {
             hours: 0,
-            voltage: ParmaConfig::default().voltage,
+            voltage: 5.0,
             z: z.clone(),
             ground_truth: None,
         }],

@@ -233,7 +233,7 @@ fn assert_supervised_outcome_is_classified(z: ZMatrix, label: &str) {
         grid: z.grid(),
         measurements: vec![mea_model::Measurement {
             hours: 0,
-            voltage: ParmaConfig::default().voltage,
+            voltage: 5.0,
             z,
             ground_truth: None,
         }],

@@ -95,62 +95,57 @@ fn pipeline_run_emits_a_complete_trace() {
 
     assert_eq!(results.len(), hours as usize);
 
-    // Every pipeline stage shows up as a span, with per-stage wall time.
-    let run = snap.span("pipeline/run").expect("run span");
-    assert_eq!(run.count, 1);
-    let tp = snap
-        .span("pipeline/run/time_point")
-        .expect("time_point span");
-    assert_eq!(tp.count, hours);
-    let detect = snap
-        .span("pipeline/run/time_point/detect")
-        .expect("detect span");
-    assert_eq!(detect.count, hours);
-    let solve = snap
-        .span("pipeline/run/time_point/parma/solve")
-        .expect("solve span");
+    // Every stage of the session is a stage histogram with its wall time:
+    // one solve and one detection per time point, and one refactor and
+    // one sweep per iteration plus the converging one of each solve.
+    let stage = |name: &str| {
+        snap.hist(name)
+            .unwrap_or_else(|| panic!("no {name} stage"))
+            .clone()
+    };
+    let iters: u64 = results.iter().map(|r| r.solution.iterations as u64).sum();
+    let solve = stage("parma.solve_ms");
     assert_eq!(solve.count, hours);
+    assert_eq!(stage("parma.detect_ms").count, hours);
+    let sweep = stage("parma.sweep_ms");
+    let refactor = stage("model.forward.refactor_ms");
+    assert_eq!(sweep.count, iters + hours);
+    assert_eq!(refactor.count, iters + hours);
     assert!(
-        run.total >= tp.total,
-        "nested spans cannot exceed their parent"
+        solve.sum >= sweep.sum + refactor.sum,
+        "nested stages cannot exceed their parent"
     );
-    assert!(tp.max <= tp.total);
+    assert!(solve.max <= solve.sum);
 
-    // Solver counters and one residual curve per time point.
+    // Solver counters; the residual curves live on the solutions.
     assert_eq!(snap.counter("parma.solver.solves"), Some(hours));
-    let iters = snap
-        .counter("parma.solver.iterations")
-        .expect("iteration counter");
-    let expected: u64 = results.iter().map(|r| r.solution.iterations as u64).sum();
-    assert_eq!(iters, expected);
-    let series = snap
-        .series("parma.solver.residuals")
-        .expect("residual series");
-    assert_eq!(series.len(), hours as usize);
-    for (curve, r) in series.iter().zip(&results) {
-        assert_eq!(curve.len(), r.solution.history.len());
-        assert!(curve.iter().all(|v| v.is_finite()));
+    assert_eq!(snap.counter("parma.solver.iterations"), Some(iters));
+    for r in &results {
+        assert_eq!(r.solution.history.len(), r.solution.iterations + 1);
+        assert!(r.solution.history.iter().all(|v| v.is_finite()));
     }
 
     // The JSON rendering is one well-formed value carrying all of it.
     let json = snap.to_json();
     assert_valid_json(&json);
     for marker in [
-        "\"pipeline/run\"",
-        "\"pipeline/run/time_point/parma/solve\"",
+        "\"parma/solve\"",
+        "\"parma/detect\"",
+        "\"model/forward/refactor\"",
         "\"parma.solver.solves\"",
-        "\"parma.solver.residuals\"",
         "\"total_ms\"",
     ] {
         assert!(json.contains(marker), "trace JSON is missing {marker}");
     }
+    assert!(!json.contains("\"series\""), "{json}");
 
     // Once disabled, nothing further is recorded.
     {
-        let _late = mea_obs::span("late");
+        static LATE: mea_obs::hist::Hist = mea_obs::hist::Hist::new("late_ms");
+        let _late = LATE.time();
         mea_obs::counter_add("late.counter", 1);
     }
     let after = mea_obs::snapshot();
-    assert!(after.span("late").is_none());
+    assert!(after.hist("late_ms").is_none());
     assert_eq!(after.counter("late.counter"), None);
 }
